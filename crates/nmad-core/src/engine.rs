@@ -15,7 +15,7 @@
 //! loop of [`nmad_sim::runner`] drives it; on real transports any
 //! thread loop does.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 
@@ -26,7 +26,7 @@ use crate::strategy::{FramePlan, NicView, PlanEntry, Strategy};
 use crate::window::{CtrlMsg, RdvJob, Window};
 use crate::wire::{parse_frame, Entry, FrameEncoder};
 use nmad_net::{CpuMeter, Driver, NetResult, SendHandle, StrategyDecision};
-use nmad_sim::{NodeId, SoftwareCosts};
+use nmad_sim::{FxHashMap, FxHashSet, NodeId, SoftwareCosts};
 
 /// Per-operation software costs the engine charges to its CPU meter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -394,17 +394,17 @@ pub struct NmadEngine {
     window: Window,
     matching: Matching,
     /// RTS sent, data parked until the CTS returns.
-    rdv_wait_cts: HashMap<RdvKey, (Bytes, SendReqId)>,
+    rdv_wait_cts: FxHashMap<RdvKey, (Bytes, SendReqId)>,
     /// Granted rendezvous transfers: transmit-side byte accounting.
-    rdv_tx: HashMap<RdvKey, RdvTx>,
+    rdv_tx: FxHashMap<RdvKey, RdvTx>,
     /// Rendezvous transfers that fully completed (transmit side); a
     /// late duplicate grant must never restart one.
-    rdv_done: HashSet<RdvKey>,
+    rdv_done: FxHashSet<RdvKey>,
     /// Send requests → segments still in flight.
-    sends: HashMap<SendReqId, usize>,
-    done_sends: HashSet<SendReqId>,
+    sends: FxHashMap<SendReqId, usize>,
+    done_sends: FxHashSet<SendReqId>,
     next_req: u64,
-    next_seq: HashMap<(NodeId, Tag), SeqNo>,
+    next_seq: FxHashMap<(NodeId, Tag), SeqNo>,
     order: u64,
     costs: EngineCosts,
     stats: EngineStats,
@@ -413,8 +413,8 @@ pub struct NmadEngine {
     /// Eager flow control: max data-bearing frames in flight per peer
     /// without a credit return. `None` disables the mechanism.
     credit_limit: Option<usize>,
-    credits: HashMap<NodeId, usize>,
-    pending_credit_returns: HashMap<NodeId, u32>,
+    credits: FxHashMap<NodeId, usize>,
+    pending_credit_returns: FxHashMap<NodeId, u32>,
     /// Shard identity when this engine is one shard of a sharded
     /// runtime; `None` for a monolithic engine.
     route: Option<ShardRoute>,
@@ -475,21 +475,21 @@ impl NmadEngine {
             strategy,
             window,
             matching: Matching::new(),
-            rdv_wait_cts: HashMap::new(),
-            rdv_tx: HashMap::new(),
-            rdv_done: HashSet::new(),
-            sends: HashMap::new(),
-            done_sends: HashSet::new(),
+            rdv_wait_cts: FxHashMap::default(),
+            rdv_tx: FxHashMap::default(),
+            rdv_done: FxHashSet::default(),
+            sends: FxHashMap::default(),
+            done_sends: FxHashSet::default(),
             next_req: 0,
-            next_seq: HashMap::new(),
+            next_seq: FxHashMap::default(),
             order: 0,
             costs,
             stats: EngineStats::default(),
             metrics: EngineMetrics::default(),
             pool: FramePool::new(64),
             credit_limit: None,
-            credits: HashMap::new(),
-            pending_credit_returns: HashMap::new(),
+            credits: FxHashMap::default(),
+            pending_credit_returns: FxHashMap::default(),
             route: None,
             foreign_rx: Vec::new(),
             spool: VecDeque::new(),
@@ -670,10 +670,31 @@ impl NmadEngine {
         parts: Vec<(Bytes, Priority)>,
         rail_hint: Option<usize>,
     ) {
+        self.submit_parts(req, dst, tag, parts.into_iter(), rail_hint);
+    }
+
+    /// Nonblocking single-segment send.
+    pub fn isend(&mut self, dst: NodeId, tag: Tag, data: impl Into<Bytes>) -> SendReqId {
+        let req = self.alloc_send_req();
+        let part = std::iter::once((data.into(), Priority::Normal));
+        self.submit_parts(req, dst, tag, part, None);
+        req
+    }
+
+    /// The submit path over any exact-size source of parts, so `isend`
+    /// queues its one segment without building a `Vec`.
+    fn submit_parts(
+        &mut self,
+        req: SendReqId,
+        dst: NodeId,
+        tag: Tag,
+        parts: impl ExactSizeIterator<Item = (Bytes, Priority)>,
+        rail_hint: Option<usize>,
+    ) {
         assert_ne!(dst, self.node, "self-sends are not routed through NICs"); // PANIC-OK: API misuse guard at submit; not data-dependent
         self.meter.charge_ns(self.costs.per_request_ns);
         self.metrics.requests_submitted += 1;
-        if parts.is_empty() {
+        if parts.len() == 0 {
             self.done_sends.insert(req);
             return;
         }
@@ -701,11 +722,6 @@ impl NmadEngine {
             .max()
             .unwrap_or(0);
         self.metrics.observe_window_depth(depth);
-    }
-
-    /// Nonblocking single-segment send.
-    pub fn isend(&mut self, dst: NodeId, tag: Tag, data: impl Into<Bytes>) -> SendReqId {
-        self.submit_send_parts(dst, tag, vec![(data.into(), Priority::Normal)], None)
     }
 
     /// Posts a receive of up to `max` bytes for the next segment of
@@ -1324,10 +1340,11 @@ impl NmadEngine {
                         break;
                     }
                 }
-                let caps = self.nics[i].driver.caps().clone(); // ALLOC-OK: caps snapshot copied once per spool drain, not per frame; PANIC-OK: i < nics.len() loop bound
+                // Borrows `nics` while `strategy` and `window` are
+                // borrowed mutably: disjoint fields.
                 let view = NicView {
                     index: i,
-                    caps: &caps,
+                    caps: self.nics[i].driver.caps(), // PANIC-OK: i < nics.len() loop bound
                 };
                 let Some(plan) = self.strategy.schedule(&mut self.window, &view) else {
                     break;
@@ -1614,12 +1631,13 @@ impl NmadEngine {
         }
         let windows = self.window.split(shards, owner);
         let matchings = self.matching.split_by(shards, owner);
-        let mut next_seqs: Vec<HashMap<(NodeId, Tag), SeqNo>> =
-            (0..shards).map(|_| HashMap::new()).collect();
+        let mut next_seqs: Vec<FxHashMap<(NodeId, Tag), SeqNo>> =
+            (0..shards).map(|_| FxHashMap::default()).collect();
         for (k, v) in self.next_seq {
             next_seqs[owner(k.0, k.1)].insert(k, v);
         }
-        let mut rdv_dones: Vec<HashSet<RdvKey>> = (0..shards).map(|_| HashSet::new()).collect();
+        let mut rdv_dones: Vec<FxHashSet<RdvKey>> =
+            (0..shards).map(|_| FxHashSet::default()).collect();
         for key in self.rdv_done {
             rdv_dones[owner(key.0, key.1)].insert(key);
         }
@@ -1652,10 +1670,10 @@ impl NmadEngine {
                 strategy,
                 window,
                 matching,
-                rdv_wait_cts: HashMap::new(),
-                rdv_tx: HashMap::new(),
+                rdv_wait_cts: FxHashMap::default(),
+                rdv_tx: FxHashMap::default(),
                 rdv_done: std::mem::take(&mut rdv_dones[s]),
-                sends: HashMap::new(),
+                sends: FxHashMap::default(),
                 done_sends: done_sends.take().unwrap_or_default(),
                 next_req: self.next_req,
                 next_seq: std::mem::take(&mut next_seqs[s]),
@@ -1716,11 +1734,11 @@ impl NmadEngine {
         let mut costs = None;
         let mut stats = EngineStats::default();
         let mut metrics = EngineMetrics::default();
-        let mut next_seq: HashMap<(NodeId, Tag), SeqNo> = HashMap::new();
-        let mut rdv_done: HashSet<RdvKey> = HashSet::new();
-        let mut done_sends: HashSet<SendReqId> = HashSet::new();
-        let mut deficits: HashMap<NodeId, usize> = HashMap::new();
-        let mut pending: HashMap<NodeId, u32> = HashMap::new();
+        let mut next_seq: FxHashMap<(NodeId, Tag), SeqNo> = FxHashMap::default();
+        let mut rdv_done: FxHashSet<RdvKey> = FxHashSet::default();
+        let mut done_sends: FxHashSet<SendReqId> = FxHashSet::default();
+        let mut deficits: FxHashMap<NodeId, usize> = FxHashMap::default();
+        let mut pending: FxHashMap<NodeId, u32> = FxHashMap::default();
         let mut next_req = 0u64;
         let mut order = 0u64;
 
@@ -1783,10 +1801,10 @@ impl NmadEngine {
             strategy,
             window: Window::merge(windows),
             matching: Matching::merge(matchings),
-            rdv_wait_cts: HashMap::new(),
-            rdv_tx: HashMap::new(),
+            rdv_wait_cts: FxHashMap::default(),
+            rdv_tx: FxHashMap::default(),
             rdv_done,
-            sends: HashMap::new(),
+            sends: FxHashMap::default(),
             done_sends,
             next_req,
             next_seq,

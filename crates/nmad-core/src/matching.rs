@@ -23,7 +23,7 @@
 
 use crate::segment::{RecvReqId, SeqNo, Tag};
 use bytes::Bytes;
-use nmad_sim::NodeId;
+use nmad_sim::{FxHashMap, FxHashSet, NodeId};
 use std::collections::{HashMap, HashSet};
 
 /// Side effects the engine must apply after feeding an event in (CPU
@@ -77,7 +77,7 @@ struct Slot {
     sender_len: usize,
     /// Offsets of rendezvous chunks already landed — duplicates of a
     /// chunk (retransmission, failover requeue) are dropped instead of
-    /// double-counted.
+    /// double-counted. The sender picks the offsets: std's keyed hash.
     chunk_offsets: HashSet<u32>,
 }
 
@@ -87,7 +87,7 @@ struct Slot {
 #[derive(Debug, Default)]
 struct FlowDelivered {
     next: u32,
-    ahead: HashSet<u32>,
+    ahead: FxHashSet<u32>,
 }
 
 impl FlowDelivered {
@@ -108,14 +108,20 @@ impl FlowDelivered {
 }
 
 /// Matching state of one engine (one node).
+///
+/// Tables keyed by what this process chose (flows its application
+/// posted, request ids it allocated) use the fast [`FxHashMap`]; the
+/// two whose keys arrive from a remote peer before any local post —
+/// `unexpected` and `pending_rts` — keep std's randomly keyed hash, so
+/// a peer cannot pick keys that collide (see `nmad_sim::hash`).
 #[derive(Debug, Default)]
 pub struct Matching {
-    posted: HashMap<(NodeId, Tag, SeqNo), Slot>,
-    next_seq: HashMap<(NodeId, Tag), SeqNo>,
+    posted: FxHashMap<(NodeId, Tag, SeqNo), Slot>,
+    next_seq: FxHashMap<(NodeId, Tag), SeqNo>,
     unexpected: HashMap<(NodeId, Tag, SeqNo), Bytes>,
     pending_rts: HashMap<(NodeId, Tag, SeqNo), u32>,
-    done: HashMap<RecvReqId, RecvDone>,
-    delivered: HashMap<(NodeId, Tag), FlowDelivered>,
+    done: FxHashMap<RecvReqId, RecvDone>,
+    delivered: FxHashMap<(NodeId, Tag), FlowDelivered>,
 }
 
 impl Matching {
@@ -140,7 +146,14 @@ impl Matching {
         *seq_slot = seq_slot.next();
 
         let mut effects = Vec::new();
-        if let Some(staged) = self.unexpected.remove(&(src, tag, seq)) {
+        // `remove` hashes its key even on an empty map; the common
+        // pre-posted receive finds both peer-keyed queues empty.
+        let staged = if self.unexpected.is_empty() {
+            None
+        } else {
+            self.unexpected.remove(&(src, tag, seq))
+        };
+        if let Some(staged) = staged {
             // The staged segment is a zero-copy slice of its receive
             // frame; handing it over costs nothing — the frame buffer
             // was the bounce buffer.
@@ -168,7 +181,12 @@ impl Matching {
             sender_len: 0,
             chunk_offsets: HashSet::new(),
         };
-        if let Some(total) = self.pending_rts.remove(&(src, tag, seq)) {
+        let parked = if self.pending_rts.is_empty() {
+            None
+        } else {
+            self.pending_rts.remove(&(src, tag, seq))
+        };
+        if let Some(total) = parked {
             Self::grant(&mut slot, total);
             effects.push(Effect::SendCts {
                 dst: src,
@@ -463,6 +481,24 @@ mod tests {
 
     fn by(p: &'static [u8]) -> Bytes {
         Bytes::from_static(p)
+    }
+
+    #[test]
+    fn peer_chosen_keys_keep_randomized_hashing() {
+        // A remote peer chooses these keys: eager data and RTS entries
+        // arrive for receives not posted yet, and a granted transfer's
+        // chunks carry the sender's offsets. They keep std's randomly
+        // keyed hash so a peer cannot aim keys at one bucket; moving
+        // any of them to the fast hasher stops this from compiling.
+        use std::collections::hash_map::RandomState;
+        fn keyed<K, V>(_: &HashMap<K, V, RandomState>) {}
+        fn keyed_set<K>(_: &HashSet<K, RandomState>) {}
+        let mut m = Matching::new();
+        keyed(&m.unexpected);
+        keyed(&m.pending_rts);
+        m.post_recv(SRC, TAG, 64, RecvReqId(1));
+        let slot = m.posted.values().next().expect("one posted slot");
+        keyed_set(&slot.chunk_offsets);
     }
 
     #[test]

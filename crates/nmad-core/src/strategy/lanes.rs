@@ -24,14 +24,13 @@
 //!   segments are pending, unless the job has aged past the deadline
 //!   (see [`super::rdv_admission_cap`]).
 
-use std::collections::HashMap;
-
 use super::{
     contended_chunk, eager_cutoff, plan_ctrl, plan_rdv_chunk, rdv_admission_cap, Budget, FramePlan,
     NicView, PlanEntry, Strategy,
 };
 use crate::segment::{Priority, Tag, NUM_LANES};
 use crate::window::Window;
+use nmad_sim::FxHashMap;
 
 /// Default aging step: one lane of promotion per this many submissions.
 pub const DEFAULT_AGE_STEP: u64 = 512;
@@ -134,7 +133,7 @@ impl Strategy for StratLanes {
         // urgency order; per-lane FIFO; per-tenant deficit inside a
         // lane.
         for service in 0..NUM_LANES as u8 {
-            let mut used: HashMap<Tag, usize> = HashMap::new();
+            let mut used: FxHashMap<Tag, usize> = FxHashMap::default();
             let mut took_since_reset = false;
             loop {
                 if !budget.fits_bare() {

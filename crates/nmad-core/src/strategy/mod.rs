@@ -218,14 +218,6 @@ pub(crate) fn plan_ctrl(plan: &mut FramePlan, window: &mut Window, budget: &mut 
     }
 }
 
-/// Deadline-aware rendezvous admission (tail-aware strategies): the
-/// largest chunk a granted rendezvous job towards `dst` may cut right
-/// now. While expedited (Urgent/High) segments are pending anywhere in
-/// the window, chunks are capped at `contended_chunk` bytes so a large
-/// RTS/CTS transfer cannot monopolize the rail during a burst — unless
-/// the job has already waited more than `deadline` submission stamps,
-/// in which case it is admitted at full size again (bulk transfers age
-/// out of the cap instead of starving behind a persistent flood).
 /// The contended-chunk bound the tail-aware strategies feed to
 /// [`rdv_admission_cap`]: a quarter of the MTU, but never more than
 /// the rendezvous threshold (several simulated NICs advertise an
@@ -234,6 +226,14 @@ pub(crate) fn contended_chunk(caps: &Capabilities) -> usize {
     (caps.mtu / 4).min(caps.rdv_threshold).max(1)
 }
 
+/// Deadline-aware rendezvous admission (tail-aware strategies): the
+/// largest chunk a granted rendezvous job towards `dst` may cut right
+/// now. While expedited (Urgent/High) segments are pending anywhere in
+/// the window, chunks are capped at `contended_chunk` bytes so a large
+/// RTS/CTS transfer cannot monopolize the rail during a burst — unless
+/// the job has already waited more than `deadline` submission stamps,
+/// in which case it is admitted at full size again (bulk transfers age
+/// out of the cap instead of starving behind a persistent flood).
 pub(crate) fn rdv_admission_cap(
     window: &Window,
     dst: NodeId,

@@ -53,13 +53,12 @@
 //! threaded mode through
 //! [`Driver::threaded_progress_safe`](nmad_net::Driver::threaded_progress_safe).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::utils::CachePadded;
-use nmad_sim::NodeId;
+use nmad_sim::{FxHashMap, FxHashSet, NodeId};
 
 use crate::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 
@@ -115,8 +114,8 @@ const BOARD_SHARDS: usize = 16;
 
 #[derive(Default)]
 struct BoardShard {
-    sends: HashSet<u64>,
-    recvs: HashMap<u64, RecvDone>,
+    sends: FxHashSet<u64>,
+    recvs: FxHashMap<u64, RecvDone>,
 }
 
 /// Sharded completion queue the progression threads fill and
@@ -1518,7 +1517,8 @@ mod tests {
         let (ah, bh) = (a.handle(), b.handle());
         // Enough tags that HashByDest populates both shards.
         let n = 32u32;
-        let shards_hit: HashSet<usize> = (0..n).map(|t| ah.shard_of(NodeId(1), Tag(t))).collect();
+        let shards_hit: std::collections::HashSet<usize> =
+            (0..n).map(|t| ah.shard_of(NodeId(1), Tag(t))).collect();
         assert_eq!(shards_hit.len(), 2, "tag mix must cover both shards");
         let recvs: Vec<_> = (0..n)
             .map(|t| bh.post_recv(NodeId(0), Tag(t), 64))

@@ -13,8 +13,7 @@ use crate::driver::{
     StrategyDecision,
 };
 use crate::fault::{FaultInjector, FaultPlan, FaultStats, FaultVerdict};
-use nmad_sim::{NodeId, RailId, SendToken, SharedWorld, SimDuration, SimTime};
-use std::collections::HashMap;
+use nmad_sim::{FxHashMap, NodeId, RailId, SendToken, SharedWorld, SimDuration, SimTime};
 
 /// A [`Driver`] over one rail of a shared simulated world.
 pub struct SimDriver {
@@ -24,7 +23,7 @@ pub struct SimDriver {
     caps: Capabilities,
     gather_entry_overhead: SimDuration,
     next_handle: u64,
-    tokens: HashMap<SendHandle, SendToken>,
+    tokens: FxHashMap<SendHandle, SendToken>,
     faults: Option<FaultInjector>,
 }
 
@@ -44,7 +43,7 @@ impl SimDriver {
             caps,
             gather_entry_overhead,
             next_handle: 0,
-            tokens: HashMap::new(),
+            tokens: FxHashMap::default(),
             faults: None,
         }
     }

@@ -3,8 +3,22 @@
 //! The paper's prototype includes a TCP/Ethernet transfer module (§4);
 //! this is ours, over genuine non-blocking sockets. Frames are
 //! length-prefixed; the source node is implied by the socket. All
-//! operations are non-blocking: buffered bytes move during
-//! [`Driver::pump`], which both `poll_recv` and `test_send` invoke.
+//! operations are non-blocking.
+//!
+//! The data path costs one readiness wait per engine pump:
+//!
+//! * `post_send` hands the length prefix and the caller's gather list
+//!   straight to the kernel with `writev` — no staging copy — and
+//!   queues only the residue a full socket buffer refused; the pump
+//!   flushes that residue when the socket turns writable;
+//! * [`Driver::pump`] waits once and reads each ready socket into one
+//!   receive scratch buffer per driver, copying every complete frame
+//!   out of it exactly once and keeping only a partial tail per
+//!   connection; a short read ends the socket's turn (it is drained);
+//! * `poll_recv` pumps only when no pump ran since its queue last ran
+//!   dry, so the engine's `pump` → `poll_recv`… cycle waits once, while
+//!   a caller that only polls still makes progress; `test_send` pumps
+//!   only for a send whose bytes are still queued.
 //!
 //! Unlike the first-generation driver (which linearly scanned every
 //! connection on every pump), this one is built for **thousands of
@@ -37,9 +51,10 @@ use crate::backoff::{Backoff, BackoffPolicy};
 use crate::driver::{Capabilities, Driver, NetError, NetResult, RxFrame, SendHandle};
 use crate::endpoint::{EndpointStats, EndpointTable, Token};
 use crate::poller::{Event, Interest, Poller};
-use nmad_sim::NodeId;
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use bytes::Bytes;
+use nmad_sim::{FxHashMap, NodeId};
+use std::collections::VecDeque;
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -47,6 +62,16 @@ use std::time::{Duration, Instant};
 const LEN_PREFIX: usize = 4;
 /// Largest frame we accept from the wire (corrupt-stream guard).
 const MAX_FRAME: usize = 256 << 20;
+/// Receive scratch per driver: the most one `read` takes in.
+const RX_SCRATCH: usize = 64 * 1024;
+/// Slices per `writev` for ordinary frames (a 16-entry engine frame is
+/// 34: prefix, header fragments, payloads), kept on the stack. Setting
+/// up an `IOV_MAX`-slot array instead takes about 0.7 µs per frame on
+/// a 2-core Xeon KVM guest, against 70 ns for this one.
+const GATHER_BATCH: usize = 64;
+/// Linux `IOV_MAX`: std clamps one `writev` to this many slices, so a
+/// longer gather list goes out in several calls.
+const IOV_MAX: usize = 1024;
 /// Poller key reserved for the listening socket.
 const LISTEN_KEY: usize = usize::MAX;
 /// Default receive backlog (parsed frames queued towards the engine)
@@ -78,12 +103,13 @@ struct Endpoint {
     /// Interest currently registered with the poller; re-registered
     /// only when the desired set differs (edge transitions).
     interest: Interest,
-    /// Outgoing bytes not yet accepted by the kernel.
+    /// Outgoing bytes the kernel refused so far (the residue of
+    /// partial writes, plus frames posted behind it).
     out: VecDeque<u8>,
     /// Cumulative bytes enqueued / flushed towards this peer.
     enqueued: u64,
     flushed: u64,
-    /// Incoming bytes not yet parsed into frames.
+    /// The head of a frame split across reads (prefix included).
     in_buf: Vec<u8>,
     /// Handshake bytes collected so far.
     hs_have: u8,
@@ -153,11 +179,20 @@ pub struct TcpDriver {
     engine_paused: bool,
     /// Endpoints with non-empty `out` — O(1) `tx_idle`.
     tx_busy: usize,
-    pending: HashMap<SendHandle, (usize, u64)>,
+    /// Sends with bytes still in `out`, by handle: (peer index, the
+    /// `flushed` watermark that completes them). A send the kernel
+    /// took whole never enters.
+    pending: FxHashMap<SendHandle, (usize, u64)>,
     next_handle: u64,
     stats: EndpointStats,
     /// Readiness scratch, reused across pumps.
     events: Vec<Event>,
+    /// Receive scratch shared by every socket: zeroed on the first
+    /// read rather than at set-up, then reused.
+    rx_scratch: Vec<u8>,
+    /// A pump ran since `poll_recv` last found `rx_ready` empty, so
+    /// the queue already holds what that wait reported.
+    rx_fresh: bool,
 }
 
 fn tcp_caps() -> Capabilities {
@@ -165,8 +200,8 @@ fn tcp_caps() -> Capabilities {
         name: "tcp".to_string(),
         latency_ns: 30_000,
         bandwidth_bps: 1_000_000_000,
-        // We stage into a userspace buffer anyway, so gather is
-        // effectively unlimited (writev semantics).
+        // `writev` gathers any list (in `IOV_MAX` batches), so the
+        // engine never needs to stage.
         gather_max_segs: usize::MAX,
         rdv_threshold: 64 * 1024,
         supports_rdma: false,
@@ -201,10 +236,12 @@ impl TcpDriver {
             rx_backlog_cap: DEFAULT_RX_BACKLOG_CAP,
             engine_paused: false,
             tx_busy: 0,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             next_handle: 0,
             stats: EndpointStats::default(),
             events: Vec::new(),
+            rx_scratch: Vec::new(),
+            rx_fresh: false,
         })
     }
 
@@ -392,6 +429,7 @@ impl TcpDriver {
             }
         }
         self.events = events;
+        self.rx_fresh = true;
         Ok(())
     }
 
@@ -553,6 +591,25 @@ impl TcpDriver {
         Ok(progressed)
     }
 
+    /// True once every byte of send `handle` reached the kernel (a
+    /// send the kernel took whole was never pending); drops its record.
+    fn send_flushed(&mut self, handle: SendHandle) -> NetResult<bool> {
+        let Some(&(idx, target)) = self.pending.get(&handle) else {
+            return Ok(true);
+        };
+        let token = self
+            .by_node
+            .get(idx)
+            .copied()
+            .flatten()
+            .ok_or(NetError::Closed)?;
+        if self.table.get(token).ok_or(NetError::Closed)?.flushed < target {
+            return Ok(false);
+        }
+        self.pending.remove(&handle);
+        Ok(true)
+    }
+
     /// Drains readable bytes and parses complete frames, pausing at
     /// the backlog cap. Returns whether anything moved.
     fn read_ready(&mut self, token: Token) -> NetResult<bool> {
@@ -563,34 +620,41 @@ impl TcpDriver {
             return Ok(false);
         }
         let peer = ep.peer.expect("established endpoints are identified"); // PANIC-OK: established endpoints always carry a peer id
+        if self.rx_scratch.is_empty() {
+            self.rx_scratch = vec![0; RX_SCRATCH];
+        }
         let mut progressed = false;
         let mut eof = false;
-        let mut chunk = [0u8; 64 * 1024];
+        let mut drained = false;
         loop {
+            // Checked before the short-read exit too: the frames just
+            // parsed may have filled the backlog.
             if self.rx_ready.len() >= self.rx_backlog_cap {
                 ep.read_paused = true;
                 self.stats.backpressure_stalls += 1;
                 self.paused.push(token);
                 break;
             }
-            match ep.stream.read(&mut chunk) {
+            if drained {
+                break;
+            }
+            match ep.stream.read(&mut self.rx_scratch) {
                 Ok(0) => {
                     eof = true;
                     progressed = true;
                     break;
                 }
                 Ok(k) => {
-                    ep.in_buf.extend_from_slice(&chunk[..k]);
                     progressed = true;
-                    // Parse inline so the backlog cap sees fresh frames.
-                    match parse_frames(&mut ep.in_buf, peer, &mut self.rx_ready) {
-                        Ok(()) => {}
-                        Err(_) => {
-                            // Malformed stream: this peer dies, the
-                            // endpoint lives on.
-                            self.teardown(token);
-                            return Ok(true);
-                        }
+                    // A short read emptied the socket; another would
+                    // only report `WouldBlock`.
+                    drained = k < self.rx_scratch.len();
+                    let fresh = &self.rx_scratch[..k];
+                    if parse_frames(&mut ep.in_buf, fresh, peer, &mut self.rx_ready).is_err() {
+                        // Malformed stream: this peer dies, the
+                        // endpoint lives on.
+                        self.teardown(token);
+                        return Ok(true);
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -675,35 +739,115 @@ impl TcpDriver {
     }
 }
 
-/// Parses complete length-prefixed frames from `in_buf` into
-/// `rx_ready`, leaving any partial tail in place. Errors on a frame
-/// that exceeds the protocol maximum.
+/// The payload length a frame's prefix announces, if `buf` holds the
+/// whole prefix. Errors above the protocol maximum.
+fn frame_len(buf: &[u8]) -> Result<Option<usize>, ()> {
+    let Some(prefix) = buf.first_chunk::<LEN_PREFIX>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(());
+    }
+    Ok(Some(len))
+}
+
+/// Parses `data`, bytes just read from `src`'s socket, into frames on
+/// `rx_ready`. The frame whose head an earlier read left in `in_buf`
+/// completes first and becomes its own payload (a slice past the
+/// prefix, no further copy); each whole frame inside `data` is copied
+/// out once; a trailing partial frame stays in `in_buf`. Errors on a
+/// length above the protocol maximum.
 fn parse_frames(
     in_buf: &mut Vec<u8>,
+    mut data: &[u8],
     src: NodeId,
     rx_ready: &mut VecDeque<RxFrame>,
 ) -> Result<(), ()> {
-    let mut consumed = 0;
-    while in_buf.len() - consumed >= LEN_PREFIX {
-        let hdr = &in_buf[consumed..consumed + LEN_PREFIX];
-        let len = u32::from_le_bytes(hdr.try_into().expect("4 bytes")) as usize; // PANIC-OK: 4-byte slice by construction
-        if len > MAX_FRAME {
-            return Err(());
+    if !in_buf.is_empty() {
+        // Complete the prefix (a read may split even those 4 bytes)...
+        let (head, rest) = data.split_at(LEN_PREFIX.saturating_sub(in_buf.len()).min(data.len()));
+        in_buf.extend_from_slice(head);
+        data = rest;
+        let Some(len) = frame_len(in_buf)? else {
+            return Ok(());
+        };
+        // ...then the body.
+        let (head, rest) = data.split_at((LEN_PREFIX + len - in_buf.len()).min(data.len()));
+        in_buf.extend_from_slice(head);
+        data = rest;
+        if in_buf.len() < LEN_PREFIX + len {
+            return Ok(());
         }
-        if in_buf.len() - consumed < LEN_PREFIX + len {
-            break;
-        }
-        let start = consumed + LEN_PREFIX;
+        let frame = Bytes::from(std::mem::take(in_buf));
         rx_ready.push_back(RxFrame {
             src,
-            payload: in_buf[start..start + len].to_vec().into(),
+            payload: frame.slice(LEN_PREFIX..),
         });
-        consumed = start + len;
     }
-    if consumed > 0 {
-        in_buf.drain(..consumed);
+    while let Some(len) = frame_len(data)? {
+        let Some(body) = data.get(LEN_PREFIX..LEN_PREFIX + len) else {
+            break;
+        };
+        rx_ready.push_back(RxFrame {
+            src,
+            payload: Bytes::copy_from_slice(body),
+        });
+        data = &data[LEN_PREFIX + len..];
     }
+    in_buf.extend_from_slice(data);
     Ok(())
+}
+
+/// Writes `prefix` then every segment of `iov` with `writev`, up to `N`
+/// slices per call, and returns how many bytes the kernel took. Stops
+/// at the first short write or `WouldBlock` — the socket buffer is
+/// full — so the caller queues the rest.
+fn write_gather<const N: usize>(
+    stream: &mut TcpStream,
+    prefix: &[u8],
+    iov: &[&[u8]],
+) -> io::Result<usize> {
+    let mut segs = std::iter::once(prefix).chain(iov.iter().copied());
+    let mut slices = [IoSlice::new(&[]); N];
+    let mut written = 0;
+    loop {
+        let (mut n, mut want) = (0, 0);
+        for (slot, seg) in slices.iter_mut().zip(segs.by_ref()) {
+            *slot = IoSlice::new(seg);
+            n += 1;
+            want += seg.len();
+        }
+        if n == 0 {
+            return Ok(written);
+        }
+        let took = loop {
+            match stream.write_vectored(&slices[..n]) {
+                Ok(0) if want > 0 => return Err(ErrorKind::WriteZero.into()),
+                Ok(k) => break k,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(written),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        };
+        written += took;
+        if took < want {
+            return Ok(written);
+        }
+    }
+}
+
+/// Appends the bytes of `prefix` followed by `iov`, from byte `skip`
+/// on, to `out`.
+fn queue_from(out: &mut VecDeque<u8>, prefix: &[u8], iov: &[&[u8]], mut skip: usize) {
+    for seg in std::iter::once(prefix).chain(iov.iter().copied()) {
+        if let Some(rest) = seg.get(skip..) {
+            out.extend(rest);
+            skip = 0;
+        } else {
+            skip -= seg.len();
+        }
+    }
 }
 
 impl Driver for TcpDriver {
@@ -728,61 +872,69 @@ impl Driver for TcpDriver {
             return Err(NetError::Closed);
         }
         let len: usize = iov.iter().map(|s| s.len()).sum();
-        if len > MAX_FRAME {
+        let Some(prefix) = u32::try_from(len).ok().filter(|_| len <= MAX_FRAME) else {
             return Err(NetError::FrameTooLarge {
                 len,
                 mtu: MAX_FRAME,
             });
-        }
-        if ep.out.is_empty() {
-            self.tx_busy += 1;
-        }
-        ep.out
-            .extend(u32::try_from(len).expect("checked above").to_le_bytes()); // PANIC-OK: length validated against the frame cap above
-        for seg in iov {
-            ep.out.extend(seg.iter().copied());
-        }
-        ep.enqueued += (LEN_PREFIX + len) as u64;
+        };
+        let prefix = prefix.to_le_bytes();
+        let total = LEN_PREFIX + len;
+        ep.enqueued += total as u64;
         let target = ep.enqueued;
         let handle = SendHandle(self.next_handle);
         self.next_handle += 1;
-        self.pending.insert(handle, (idx, target));
-        // Immediate flush attempt (latency), then interest for the
-        // residue, then a zero-timeout pump as the old driver did.
-        self.flush(token)?;
-        self.update_interest(token)?;
-        self.pump()?;
+        // Straight to the kernel unless older bytes queue ahead (FIFO).
+        let sent = if ep.out.is_empty() {
+            let sent = if iov.len() < GATHER_BATCH {
+                write_gather::<GATHER_BATCH>(&mut ep.stream, &prefix, iov)
+            } else {
+                write_gather::<IOV_MAX>(&mut ep.stream, &prefix, iov)
+            };
+            match sent {
+                Ok(k) => k,
+                Err(_) => {
+                    // The handle surfaces `Closed` on its next test.
+                    self.pending.insert(handle, (idx, target));
+                    self.teardown(token);
+                    return Ok(handle);
+                }
+            }
+        } else {
+            0
+        };
+        ep.flushed += sent as u64;
+        if sent < total {
+            // Only the residue the socket buffer refused is copied; the
+            // pump flushes it once the socket turns writable.
+            if ep.out.is_empty() {
+                self.tx_busy += 1;
+            }
+            queue_from(&mut ep.out, &prefix, iov, sent);
+            self.pending.insert(handle, (idx, target));
+            self.update_interest(token)?;
+        }
         Ok(handle)
     }
 
     fn test_send(&mut self, handle: SendHandle) -> NetResult<bool> {
-        self.pump()?;
-        match self.pending.get(&handle) {
-            None => Ok(true),
-            Some(&(idx, target)) => {
-                let token = self
-                    .by_node
-                    .get(idx)
-                    .copied()
-                    .flatten()
-                    .ok_or(NetError::Closed)?;
-                let flushed = self.table.get(token).ok_or(NetError::Closed)?.flushed;
-                if flushed >= target {
-                    self.pending.remove(&handle);
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }
+        // Pump only for a send that still has bytes queued.
+        if self.send_flushed(handle)? {
+            return Ok(true);
         }
+        self.pump()?;
+        self.send_flushed(handle)
     }
 
     fn poll_recv(&mut self) -> NetResult<Option<RxFrame>> {
-        if let Some(f) = self.rx_ready.pop_front() {
-            self.maybe_resume_reads()?;
-            return Ok(Some(f));
+        if self.rx_ready.is_empty() {
+            // Right after a pump the queue is current; otherwise look
+            // for new bytes.
+            if !self.rx_fresh {
+                self.pump()?;
+            }
+            self.rx_fresh = false;
         }
-        self.pump()?;
         let f = self.rx_ready.pop_front();
         self.maybe_resume_reads()?;
         Ok(f)
@@ -862,6 +1014,69 @@ mod tests {
         while !a.test_send(h).unwrap() {
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn engine_cycle_makes_one_poller_wait() {
+        // The engine's per-rail cycle: pump, poll_recv until None, then
+        // test_send on a frame the kernel took whole. Only the pump
+        // may wait; the rest reads what that wait reported.
+        let (mut a, mut b) = TcpDriver::pair().unwrap();
+        a.post_send(NodeId(1), &[b"head, ", b"body"]).unwrap();
+        let h = b.post_send(NodeId(0), &[b"reply"]).unwrap();
+        assert!(b.tx_idle(), "a small frame goes to the kernel whole");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut got = None;
+        while got.is_none() {
+            assert!(Instant::now() < deadline, "frame never arrived");
+            let polls = b.poller.stats().polls;
+            b.pump().unwrap();
+            while let Some(f) = b.poll_recv().unwrap() {
+                got = Some(f);
+            }
+            assert!(b.test_send(h).unwrap());
+            assert_eq!(b.poller.stats().polls - polls, 1, "one cycle, one wait");
+        }
+        assert_eq!(got.unwrap().payload, b"head, body");
+    }
+
+    #[test]
+    fn residue_flushes_in_order_before_tx_idle() {
+        // Larger than the socket buffers of a peer that has not read
+        // yet: the kernel takes a prefix, the rest queues.
+        let (mut a, mut b) = TcpDriver::pair().unwrap();
+        let big: Vec<u8> = (0..4u32 << 20).map(|i| (i % 251) as u8).collect();
+        let (head, tail) = big.split_at(1000);
+        let h_big = a.post_send(NodeId(1), &[head, tail]).unwrap();
+        assert!(!a.tx_idle(), "the kernel cannot take 4 MiB at once");
+        let h_small = a.post_send(NodeId(1), &[b"after"]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut frames = Vec::new();
+        while frames.len() < 2 || !a.tx_idle() {
+            assert!(Instant::now() < deadline, "residue never flushed");
+            a.pump().unwrap();
+            if a.tx_idle() {
+                assert!(a.test_send(h_big).unwrap() && a.test_send(h_small).unwrap());
+            }
+            frames.extend(b.poll_recv().unwrap());
+        }
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[0].payload, big);
+        assert_eq!(frames[1].payload, b"after");
+    }
+
+    #[test]
+    fn gather_list_longer_than_iov_max_arrives_intact() {
+        // 2500 segments of 0..7 bytes: three writev batches, empty
+        // slices included.
+        let (mut a, mut b) = TcpDriver::pair().unwrap();
+        let segs: Vec<Vec<u8>> = (0..2500u32)
+            .map(|i| (0..i % 7).map(|j| (i + j) as u8).collect())
+            .collect();
+        let iov: Vec<&[u8]> = segs.iter().map(Vec::as_slice).collect();
+        let h = a.post_send(NodeId(1), &iov).unwrap();
+        assert_eq!(recv_blocking(&mut b).payload, segs.concat());
+        assert!(a.test_send(h).unwrap());
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!
 //! * [`time`] — integer-nanosecond virtual instants and durations;
 //! * [`events`] — hierarchical timer wheel backing the wakeup queue;
+//! * [`hash`] — the fast hasher for tables keyed by values the process
+//!   chooses (shared with the engine and drivers);
 //! * [`nic`] — calibrated per-technology NIC models;
 //! * [`host`] — CPU/memcpy model plus per-library software costs;
 //! * [`topo`] — node/rail identifiers, cluster configuration;
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod events;
+pub mod hash;
 pub mod host;
 pub mod nic;
 pub mod runner;
@@ -36,6 +39,7 @@ pub mod trace;
 pub mod world;
 
 pub use events::{HeapQueue, TimerWheel};
+pub use hash::{FxHashMap, FxHashSet};
 pub use host::{HostModel, SoftwareCosts};
 pub use nic::NicModel;
 pub use runner::{run_until, shared_world, Deadlock, SharedWorld};

@@ -16,9 +16,10 @@
 //! timings.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::events::TimerWheel;
+use crate::hash::FxHashMap;
 use crate::host::HostModel;
 use crate::nic::NicModel;
 use crate::time::{SimDuration, SimTime};
@@ -89,7 +90,7 @@ struct RailState {
     /// Cumulative wire occupancy of this transmit side (observability).
     tx_busy_total: SimDuration,
     inbox: BinaryHeap<Reverse<InFlight>>,
-    pending_sends: HashMap<SendToken, SimTime>,
+    pending_sends: FxHashMap<SendToken, SimTime>,
     failed: bool,
 }
 
