@@ -1354,15 +1354,17 @@ impl NmadEngine {
                 any = true;
             }
             // Standalone credit returns: peers we owe credits but have
-            // no other traffic towards.
+            // no other traffic towards, lowest node first so the map's
+            // iteration order never picks who goes out.
             // PANIC-OK: i < nics.len() loop bound
             if self.credit_limit.is_some() && !self.nics[i].dead && self.nics[i].driver.tx_idle() {
-                let owed: Vec<NodeId> = self
+                let mut owed: Vec<NodeId> = self
                     .pending_credit_returns
                     .iter()
                     .filter(|&(_, &c)| c > 0)
                     .map(|(&n, _)| n)
                     .collect();
+                owed.sort_unstable();
                 for dst in owed {
                     // PANIC-OK: i < nics.len() loop bound
                     if !self.nics[i].driver.tx_idle() {

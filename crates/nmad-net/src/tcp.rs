@@ -7,10 +7,10 @@
 //!
 //! The data path costs one readiness wait per engine pump:
 //!
-//! * `post_send` hands the length prefix and the caller's gather list
-//!   straight to the kernel with `writev` — no staging copy — and
-//!   queues only the residue a full socket buffer refused; the pump
-//!   flushes that residue when the socket turns writable;
+//! * `post_send` copies the length prefix and the caller's gather list
+//!   into the connection's output queue and writes at once as much as
+//!   the kernel takes; the pump flushes the rest when the socket turns
+//!   writable, and `post_send` itself never waits;
 //! * [`Driver::pump`] waits once and reads each ready socket into one
 //!   receive scratch buffer per driver, copying every complete frame
 //!   out of it exactly once and keeping only a partial tail per
@@ -54,7 +54,7 @@ use crate::poller::{Event, Interest, Poller};
 use bytes::Bytes;
 use nmad_sim::{FxHashMap, NodeId};
 use std::collections::VecDeque;
-use std::io::{self, ErrorKind, IoSlice, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -64,14 +64,6 @@ const LEN_PREFIX: usize = 4;
 const MAX_FRAME: usize = 256 << 20;
 /// Receive scratch per driver: the most one `read` takes in.
 const RX_SCRATCH: usize = 64 * 1024;
-/// Slices per `writev` for ordinary frames (a 16-entry engine frame is
-/// 34: prefix, header fragments, payloads), kept on the stack. Setting
-/// up an `IOV_MAX`-slot array instead takes about 0.7 µs per frame on
-/// a 2-core Xeon KVM guest, against 70 ns for this one.
-const GATHER_BATCH: usize = 64;
-/// Linux `IOV_MAX`: std clamps one `writev` to this many slices, so a
-/// longer gather list goes out in several calls.
-const IOV_MAX: usize = 1024;
 /// Poller key reserved for the listening socket.
 const LISTEN_KEY: usize = usize::MAX;
 /// Default receive backlog (parsed frames queued towards the engine)
@@ -103,8 +95,7 @@ struct Endpoint {
     /// Interest currently registered with the poller; re-registered
     /// only when the desired set differs (edge transitions).
     interest: Interest,
-    /// Outgoing bytes the kernel refused so far (the residue of
-    /// partial writes, plus frames posted behind it).
+    /// Outgoing bytes not yet accepted by the kernel.
     out: VecDeque<u8>,
     /// Cumulative bytes enqueued / flushed towards this peer.
     enqueued: u64,
@@ -200,8 +191,8 @@ fn tcp_caps() -> Capabilities {
         name: "tcp".to_string(),
         latency_ns: 30_000,
         bandwidth_bps: 1_000_000_000,
-        // `writev` gathers any list (in `IOV_MAX` batches), so the
-        // engine never needs to stage.
+        // We stage into a userspace buffer anyway, so gather is
+        // effectively unlimited (writev semantics).
         gather_max_segs: usize::MAX,
         rdv_threshold: 64 * 1024,
         supports_rdma: false,
@@ -799,57 +790,6 @@ fn parse_frames(
     Ok(())
 }
 
-/// Writes `prefix` then every segment of `iov` with `writev`, up to `N`
-/// slices per call, and returns how many bytes the kernel took. Stops
-/// at the first short write or `WouldBlock` — the socket buffer is
-/// full — so the caller queues the rest.
-fn write_gather<const N: usize>(
-    stream: &mut TcpStream,
-    prefix: &[u8],
-    iov: &[&[u8]],
-) -> io::Result<usize> {
-    let mut segs = std::iter::once(prefix).chain(iov.iter().copied());
-    let mut slices = [IoSlice::new(&[]); N];
-    let mut written = 0;
-    loop {
-        let (mut n, mut want) = (0, 0);
-        for (slot, seg) in slices.iter_mut().zip(segs.by_ref()) {
-            *slot = IoSlice::new(seg);
-            n += 1;
-            want += seg.len();
-        }
-        if n == 0 {
-            return Ok(written);
-        }
-        let took = loop {
-            match stream.write_vectored(&slices[..n]) {
-                Ok(0) if want > 0 => return Err(ErrorKind::WriteZero.into()),
-                Ok(k) => break k,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(written),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        };
-        written += took;
-        if took < want {
-            return Ok(written);
-        }
-    }
-}
-
-/// Appends the bytes of `prefix` followed by `iov`, from byte `skip`
-/// on, to `out`.
-fn queue_from(out: &mut VecDeque<u8>, prefix: &[u8], iov: &[&[u8]], mut skip: usize) {
-    for seg in std::iter::once(prefix).chain(iov.iter().copied()) {
-        if let Some(rest) = seg.get(skip..) {
-            out.extend(rest);
-            skip = 0;
-        } else {
-            skip -= seg.len();
-        }
-    }
-}
-
 impl Driver for TcpDriver {
     fn caps(&self) -> &Capabilities {
         &self.caps
@@ -878,42 +818,25 @@ impl Driver for TcpDriver {
                 mtu: MAX_FRAME,
             });
         };
-        let prefix = prefix.to_le_bytes();
-        let total = LEN_PREFIX + len;
-        ep.enqueued += total as u64;
+        if ep.out.is_empty() {
+            self.tx_busy += 1;
+        }
+        ep.out.extend(prefix.to_le_bytes());
+        for seg in iov {
+            ep.out.extend(*seg);
+        }
+        ep.enqueued += (LEN_PREFIX + len) as u64;
         let target = ep.enqueued;
         let handle = SendHandle(self.next_handle);
         self.next_handle += 1;
-        // Straight to the kernel unless older bytes queue ahead (FIFO).
-        let sent = if ep.out.is_empty() {
-            let sent = if iov.len() < GATHER_BATCH {
-                write_gather::<GATHER_BATCH>(&mut ep.stream, &prefix, iov)
-            } else {
-                write_gather::<IOV_MAX>(&mut ep.stream, &prefix, iov)
-            };
-            match sent {
-                Ok(k) => k,
-                Err(_) => {
-                    // The handle surfaces `Closed` on its next test.
-                    self.pending.insert(handle, (idx, target));
-                    self.teardown(token);
-                    return Ok(handle);
-                }
-            }
-        } else {
-            0
-        };
-        ep.flushed += sent as u64;
-        if sent < total {
-            // Only the residue the socket buffer refused is copied; the
-            // pump flushes it once the socket turns writable.
-            if ep.out.is_empty() {
-                self.tx_busy += 1;
-            }
-            queue_from(&mut ep.out, &prefix, iov, sent);
+        // Immediate flush attempt (latency), then interest for the
+        // residue. Only a send with bytes left over is recorded; one
+        // whose connection the flush tore down surfaces `Closed`.
+        self.flush(token)?;
+        if self.table.get(token).is_none_or(|ep| ep.flushed < target) {
             self.pending.insert(handle, (idx, target));
-            self.update_interest(token)?;
         }
+        self.update_interest(token)?;
         Ok(handle)
     }
 
@@ -1049,6 +972,10 @@ mod tests {
         let (head, tail) = big.split_at(1000);
         let h_big = a.post_send(NodeId(1), &[head, tail]).unwrap();
         assert!(!a.tx_idle(), "the kernel cannot take 4 MiB at once");
+        assert!(
+            !a.test_send(h_big).unwrap(),
+            "queued bytes keep the send open"
+        );
         let h_small = a.post_send(NodeId(1), &[b"after"]).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut frames = Vec::new();
@@ -1067,8 +994,8 @@ mod tests {
 
     #[test]
     fn gather_list_longer_than_iov_max_arrives_intact() {
-        // 2500 segments of 0..7 bytes: three writev batches, empty
-        // slices included.
+        // 2500 segments of 0..7 bytes, empty slices included: more
+        // than the 1024 (`IOV_MAX`) one `writev` takes.
         let (mut a, mut b) = TcpDriver::pair().unwrap();
         let segs: Vec<Vec<u8>> = (0..2500u32)
             .map(|i| (0..i % 7).map(|j| (i + j) as u8).collect())
