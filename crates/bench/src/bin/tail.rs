@@ -13,12 +13,11 @@
 //! and can gate in CI.
 //!
 //! Strategies compared: the paper's `aggreg` (FIFO aggregation, the
-//! baseline), `aggreg_hol` (FIFO with HOL-aware aggregate caps and
-//! contended rendezvous admission), and `lanes` (strict priority lanes
-//! with aging and per-tenant deficits). The headline ratio is the
-//! urgent class's p99.9 under `aggreg` over `lanes`: lanes lets small
-//! urgent traffic jump multi-hundred-KB bulk queues, which is worth
-//! orders of magnitude at the tail.
+//! baseline) and `lanes` (strict priority lanes with aging, per-tenant
+//! deficits and contended rendezvous admission). The headline ratio is
+//! the urgent class's p99.9 under `aggreg` over `lanes`: lanes lets
+//! small urgent traffic jump multi-hundred-KB bulk queues, which is
+//! worth orders of magnitude at the tail.
 //!
 //! The `chaos` scenario replays the same workload with a seeded
 //! [`FaultPlan`] latency spike injected mid-run on every sender rail —
@@ -41,7 +40,7 @@ use nmad_sim::{host, nic, shared_world, NodeId, SharedWorld, SimConfig, SimTime}
 const SHARDS: usize = 4;
 
 /// Strategies swept, baseline first.
-const STRATEGIES: [&str; 3] = ["aggreg", "aggreg_hol", "lanes"];
+const STRATEGIES: [&str; 2] = ["aggreg", "lanes"];
 
 /// Extra per-frame latency during the chaos brownout window, ns.
 const CHAOS_SPIKE_NS: u64 = 30_000;
@@ -155,7 +154,6 @@ fn engine(world: &SharedWorld, node: NodeId, strat: &str) -> NmadEngine {
         .collect();
     let strategy: Box<dyn Strategy> = match strat {
         "aggreg" => Box::new(StratAggreg),
-        "aggreg_hol" => Box::new(StratAggregHol::new()),
         "lanes" => Box::new(StratLanes::new()),
         other => panic!("unknown strategy {other}"),
     };

@@ -171,8 +171,8 @@ fn escape(s: &str) -> String {
 /// the engine's correctness, so each report records what the
 /// verification layer covered when it was produced: how many distinct
 /// schedules the nmad-verify coverage probe explored (and how many
-/// states its dedup pruned), and how many rules the
-/// ordering/determinism lint enforces. CI archives the report, so a
+/// states its dedup pruned), and how many rules the static analyzer
+/// (`xtask analyze`) enforces. CI archives the report, so a
 /// regression that guts the exploration shows up in the diff.
 #[derive(Clone, Debug)]
 pub struct VerifySummary {
@@ -182,13 +182,14 @@ pub struct VerifySummary {
     pub states_deduped: u64,
     /// Deepest decision path over all explored executions.
     pub max_depth: usize,
-    /// Rules the `xtask lint` ordering/determinism pass enforces.
+    /// Rules in the `xtask analyze` catalog: the lexical rules plus
+    /// the structural hot-path families.
     pub lint_rules: usize,
 }
 
 impl VerifySummary {
     /// Runs the nmad-verify coverage probe (once per process — the
-    /// result is cached) and pairs it with the lint rule count.
+    /// result is cached) and pairs it with the analyzer's rule count.
     pub fn probe() -> &'static VerifySummary {
         static PROBE: OnceLock<VerifySummary> = OnceLock::new();
         PROBE.get_or_init(|| {
@@ -197,7 +198,7 @@ impl VerifySummary {
                 schedules_explored: stats.schedules,
                 states_deduped: stats.states_deduped,
                 max_depth: stats.max_depth,
-                lint_rules: nmad_verify::lint::RULES.len(),
+                lint_rules: nmad_verify::analyze::rule_catalog().len(),
             }
         })
     }
@@ -631,7 +632,7 @@ pub struct TailRow {
     /// Scenario: `mixed` (steady multi-tenant load) or `chaos`
     /// (same load with a seeded fault plan injected mid-run).
     pub scenario: String,
-    /// Scheduling strategy under test (`aggreg`, `aggreg_hol`, `lanes`).
+    /// Scheduling strategy under test (`aggreg`, `lanes`).
     pub strategy: String,
     /// Tenant class label (`urgent-small`, `normal-rpc`, `bulk`).
     pub class: String,
@@ -926,7 +927,11 @@ mod tests {
         assert!(json.contains("\"lint_rules\":"), "{json}");
         let v = VerifySummary::probe();
         assert!(v.schedules_explored > 0, "probe explored nothing: {v:?}");
-        assert!(v.lint_rules >= 6, "lint catalog shrank: {v:?}");
+        assert_eq!(
+            v.lint_rules,
+            nmad_verify::analyze::rule_catalog().len(),
+            "{v:?}"
+        );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -76,8 +76,8 @@ pub use ring::{Batch, SubmitRing};
 pub use segment::{PackWrapper, Priority, RecvReqId, SendReqId, SeqNo, Tag, NUM_LANES};
 pub use steal::{StealGroup, StealStats};
 pub use strategy::{
-    eager_cutoff, DynamicStats, FramePlan, NicView, PlanEntry, StratAggreg, StratAggregHol,
-    StratDefault, StratDynamic, StratLanes, StratMultirail, StratReorder, Strategy, Tactic,
+    eager_cutoff, DynamicStats, FramePlan, NicView, PlanEntry, StratAggreg, StratDefault,
+    StratDynamic, StratLanes, StratMultirail, StratReorder, Strategy, Tactic,
 };
 pub use threaded::{CompletionBoard, SubmitBatch, ThreadedEngine, ThreadedHandle, SLOT_OPS};
 pub use window::{CtrlMsg, RdvChunk, RdvJob, Window};
@@ -88,8 +88,7 @@ pub mod prelude {
     pub use crate::engine::{EngineConfig, EngineCosts, NmadEngine, ProgressMode};
     pub use crate::segment::{Priority, RecvReqId, SendReqId, Tag};
     pub use crate::strategy::{
-        StratAggreg, StratAggregHol, StratDefault, StratDynamic, StratLanes, StratMultirail,
-        StratReorder, Strategy,
+        StratAggreg, StratDefault, StratDynamic, StratLanes, StratMultirail, StratReorder, Strategy,
     };
     pub use crate::threaded::{ThreadedEngine, ThreadedHandle};
 }

@@ -29,7 +29,6 @@
 //! against the public [`Window`] API.
 
 mod aggreg;
-mod aggreg_hol;
 mod default;
 mod dynamic;
 mod lanes;
@@ -37,7 +36,6 @@ mod multirail;
 mod reorder;
 
 pub use aggreg::StratAggreg;
-pub use aggreg_hol::StratAggregHol;
 pub use default::StratDefault;
 pub use dynamic::{DynamicStats, StratDynamic, Tactic};
 pub use lanes::StratLanes;
@@ -218,7 +216,7 @@ pub(crate) fn plan_ctrl(plan: &mut FramePlan, window: &mut Window, budget: &mut 
     }
 }
 
-/// The contended-chunk bound the tail-aware strategies feed to
+/// The contended-chunk bound [`StratLanes`] feeds to
 /// [`rdv_admission_cap`]: a quarter of the MTU, but never more than
 /// the rendezvous threshold (several simulated NICs advertise an
 /// unlimited MTU, where "a quarter of it" would cap nothing).
@@ -226,7 +224,7 @@ pub(crate) fn contended_chunk(caps: &Capabilities) -> usize {
     (caps.mtu / 4).min(caps.rdv_threshold).max(1)
 }
 
-/// Deadline-aware rendezvous admission (tail-aware strategies): the
+/// Deadline-aware rendezvous admission (used by [`StratLanes`]): the
 /// largest chunk a granted rendezvous job towards `dst` may cut right
 /// now. While expedited (Urgent/High) segments are pending anywhere in
 /// the window, chunks are capped at `contended_chunk` bytes so a large

@@ -731,8 +731,8 @@ pub struct SubmitBatch<'a> {
     handle: &'a ThreadedHandle,
     /// Cached shard count: lets the per-op path skip the routing hash
     /// (and the `Arc` dereference it needs) entirely when the runtime
-    /// is single-sharded — the overwhelmingly common layout, and the
-    /// one the hot-path microbenches gate.
+    /// is single-sharded — the overwhelmingly common layout. The
+    /// `batch` bench's submit rows measure it, as context only.
     shards: usize,
     /// Shard 0's open slot, inline: in single-shard mode every staged
     /// op lands here with no per-op indexing or indirection.
@@ -1007,105 +1007,19 @@ fn maybe_donate(engine: &mut NmadEngine, shared: &Shared, shard: usize, config: 
 
 /// A progression shard's thread body: drain the steal mailbox and the
 /// submission ring, pump the engine, forward cross-shard work, harvest
-/// completions, publish metrics, park when idle.
-/// The single-shard pump loop: the unsharded engine's loop, verbatim.
-///
-/// A single-shard runtime has no peer to steal from or forward to, so
-/// none of the cross-shard protocol belongs in its pump. This is kept
-/// as a separate loop rather than `sharded` branches inside [`run`]
-/// because the submit-overhead microbench gates the pump's per-spin
-/// cost on one core, where every cycle the consumer burns — including
-/// dead branches bloating the loop body — lengthens the producer's
-/// timed burst.
-// HOT-PATH: single-shard pump loop
-fn run_single(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig) -> NmadEngine {
-    let mut shutting_down = false;
-    let my = &shared.shards[0]; // PANIC-OK: shard < shards.len() by the spawn loop
-    loop {
-        // 1. Drain a bounded batch of submissions.
-        let mut drained = 0usize;
-        while drained < config.submit_batch {
-            let Some(batch) = my.ring.pop() else {
-                break;
-            };
-            for op in batch {
-                match op {
-                    EngineOp::Send {
-                        req,
-                        dst,
-                        tag,
-                        parts,
-                        rail_hint,
-                    } => engine.submit_send_parts_as(req, dst, tag, parts, rail_hint),
-                    EngineOp::Recv { req, src, tag, max } => {
-                        engine.post_recv_as(req, src, tag, max)
-                    }
-                    EngineOp::Snapshot => {
-                        let snap = engine.metrics();
-                        shared.snap_slot.lock()[0] = Some(snap);
-                        shared.snap_cv.notify_all();
-                    }
-                    EngineOp::Shutdown => shutting_down = true,
-                }
-                drained += 1;
-            }
-        }
-
-        // 2. One engine pump.
-        let moved = match engine.try_progress() {
-            Ok(moved) => moved,
-            Err(e) => {
-                *shared.fail.lock() =
-                    Some(format!("transport failure on node {}: {e}", engine.node())); // ALLOC-OK: fatal-error path; the pump exits after
-                shared.dead.store(true, Ordering::SeqCst);
-                break;
-            }
-        };
-
-        // 3. Harvest completions onto the board.
-        let done_sends = engine.drain_done_sends();
-        let done_recvs = engine.drain_done_recvs();
-        let harvested = !done_sends.is_empty() || !done_recvs.is_empty();
-        shared.board.post_sends_done(&done_sends);
-        shared.board.post_recvs_done(done_recvs);
-
-        // 4. Mirror the hot counters.
-        my.hot
-            .publish(&engine.merged_engine_metrics(), engine.stats());
-
-        if shutting_down && my.ring.is_empty() && engine.tx_quiescent() {
-            break;
-        }
-
-        // 5. Pace: spin while work is outstanding, park otherwise.
-        if !moved && !harvested && drained == 0 {
-            if engine.has_outstanding() || shutting_down {
-                std::thread::yield_now();
-            } else {
-                my.ring.wait_nonempty(config.idle_park);
-            }
-        }
-    }
-    // Keep the exit invariant the sharded loop establishes: the
-    // mailbox refuses pushes once its owner is gone. Nothing can have
-    // been pushed — only progression threads send steal messages.
-    let residue = shared.steal.depart(0);
-    debug_assert!(residue.is_empty(), "steal traffic on a lone shard");
-    engine
-}
-
+/// completions, publish metrics, park when idle. A single-shard runtime
+/// has no peer to steal from or forward to, so it skips every
+/// cross-shard step.
 // HOT-PATH: shard pump loop
 fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: usize) -> NmadEngine {
-    if shared.shards.len() == 1 {
-        return run_single(engine, shared, config);
-    }
+    let sharded = shared.shards.len() > 1;
     let mut shutting_down = false;
     let my = &shared.shards[shard]; // PANIC-OK: shard < shards.len() by the spawn loop
     loop {
         // 0. Cross-shard inbox: donations to spool, bounced donations
         // to re-queue, forwarded frames to inject, spool completions
         // to settle.
-        let steal_moved = drain_steal_mailbox(&mut engine, shared, shard);
+        let steal_moved = sharded && drain_steal_mailbox(&mut engine, shared, shard);
 
         // 1. Drain a bounded batch of submissions: one ring pop hands
         // over a whole slot of up to SLOT_OPS operations, so the
@@ -1151,15 +1065,17 @@ fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: us
         };
 
         // 3. Cross-shard outbox, then the steal decision.
-        let forwarded = forward_cross_shard(&mut engine, shared, shard);
-        shared
-            .steal
-            .advertise_depth(shard, engine.donation_backlog());
-        shared
-            .steal
-            .advertise_idle(shard, engine.tx_quiescent() && !shutting_down);
-        if !shutting_down {
-            maybe_donate(&mut engine, shared, shard, config);
+        let forwarded = sharded && forward_cross_shard(&mut engine, shared, shard);
+        if sharded {
+            shared
+                .steal
+                .advertise_depth(shard, engine.donation_backlog());
+            shared
+                .steal
+                .advertise_idle(shard, engine.tx_quiescent() && !shutting_down);
+            if !shutting_down {
+                maybe_donate(&mut engine, shared, shard, config);
+            }
         }
 
         // 4. Harvest completions onto the board, batched symmetrically
@@ -1604,6 +1520,52 @@ mod tests {
             std::thread::yield_now();
         }
         panic!("sharded hot mirror never converged to the snapshot totals");
+    }
+
+    /// A transport error kills the shard that hits it, waiters panic
+    /// with its diagnosis, and every other shard leaves through the
+    /// `dead` flag, so dropping the runtime still joins. With two
+    /// shards, shard 1 holds a rendezvous whose RTS is never answered:
+    /// it is not quiescent, so a clean shutdown alone would never let
+    /// it exit.
+    #[test]
+    fn transport_failure_reaches_waiters_and_stops_every_shard() {
+        use nmad_net::Driver;
+        for shards in [1, 2] {
+            let mut rails: Vec<Box<dyn Driver>> = Vec::new();
+            let mut peers = Vec::new();
+            for _ in 0..shards {
+                let mut fabric = mem_fabric(2);
+                peers.push(fabric.pop().unwrap());
+                rails.push(Box::new(fabric.pop().unwrap()));
+            }
+            let a = ThreadedEngine::launch(
+                NmadEngine::new(
+                    rails,
+                    Box::new(NullMeter),
+                    Box::new(StratAggreg),
+                    EngineCosts::zero(),
+                ),
+                EngineConfig::sharded(shards),
+            );
+            let ah = a.handle();
+            if shards == 2 {
+                let tag = (0..).map(Tag).find(|&t| ah.shard_of(NodeId(1), t) == 1);
+                ah.isend(NodeId(1), tag.unwrap(), vec![0u8; 100_000]);
+                // Rail 1 belongs to shard 1: the RTS arriving there
+                // means shard 1 now waits for a CTS.
+                while peers[1].poll_recv().unwrap().is_none() {
+                    std::thread::yield_now();
+                }
+            }
+            let r = ah.post_recv(NodeId(1), Tag(0), 64);
+            peers[0].post_send(NodeId(0), &[b"garbage"]).unwrap();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ah.wait_recv(r)))
+                .expect_err("a malformed frame must stop the runtime");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("malformed frame"), "{shards} shard(s): {msg}");
+            drop(a);
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! dependency-free, fast, and immune to "the banned token appeared in
 //! a doc comment" false positives.
 //!
-//! The driver lives in `crates/xtask` (`cargo run -p xtask -- lint`);
-//! this module owns the rule catalog and per-file checking so the
-//! rules are unit-testable and the bench harness can report how many
-//! rules the tree is held to.
+//! These are the lexical half of the `analyze` catalog
+//! ([`crate::analyze::rule_catalog`], driven by
+//! `cargo run -p xtask -- analyze`); this module owns the rules and
+//! per-file checking so they are unit-testable on their own.
 
 /// One lint rule: its stable name (used in reports) and what it
 /// enforces.

@@ -493,7 +493,7 @@ fn extract_tail(base: &Json, cur: &Json) -> Vec<Metric> {
     // including p99.99, which is the whole point of the study. The
     // named cross-strategy ratios (aggreg-over-lanes p99.9, throughput
     // shares) gate in the higher-is-better direction: a collapse there
-    // means the tail-aware strategies stopped paying for themselves.
+    // means `lanes` stopped paying for itself.
     // Mean latency and absolute MB/s repeat gated information and are
     // context.
     //

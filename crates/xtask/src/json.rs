@@ -55,7 +55,7 @@ impl Json {
 /// quote, and every control character (U+0000..U+001F must be escaped
 /// per RFC 8259 — a raw tab in a flagged source line used to produce
 /// invalid output). The one emitter shared by every hand-rolled JSON
-/// writer in xtask (`lint`/`analyze` reports, `bench-diff --json`).
+/// writer in xtask (the `analyze` report, `bench-diff --json`).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

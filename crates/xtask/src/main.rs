@@ -6,8 +6,6 @@
 //!   blocking calls, lock-order acyclicity, atomic-ordering audit)
 //!   over the workspace call graph. Exit 0 when clean; `--json` for
 //!   machine-readable output, `--list-rules` to print the catalog.
-//! * `lint` — the lexical subset only (kept for quick iteration and
-//!   older CI invocations; `analyze` subsumes it).
 //! * `bench-diff` — compare freshly generated `BENCH_*.json` reports
 //!   against the committed `BENCH_baseline/`; exit 1 on any metric
 //!   regressing past the tolerance (see [`bench_diff`]). `--json PATH`
@@ -24,7 +22,6 @@ mod json;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint(args.iter().any(|a| a == "--json")),
         Some("analyze") => {
             if args.iter().any(|a| a == "--list-rules") {
                 for (name, description) in nmad_verify::analyze::rule_catalog() {
@@ -52,7 +49,6 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!("usage: cargo run -p xtask -- analyze [--json | --list-rules]");
-    eprintln!("       cargo run -p xtask -- lint [--json]");
     eprintln!(
         "       cargo run -p xtask -- bench-diff [--tolerance 20%] \
          [--baseline BENCH_baseline] [--current .] [--json PATH]"
@@ -122,13 +118,8 @@ fn read_sources(root: &Path) -> Vec<(String, String)> {
         .collect()
 }
 
-fn emit_violations_json(
-    task: &str,
-    violations: &[nmad_verify::lint::Violation],
-    checked: usize,
-    rules: usize,
-) {
-    let mut s = format!("{{\"task\":\"{task}\",\"violations\":[");
+fn emit_violations_json(violations: &[nmad_verify::lint::Violation], checked: usize, rules: usize) {
+    let mut s = String::from("{\"task\":\"analyze\",\"violations\":[");
     for (i, v) in violations.iter().enumerate() {
         if i > 0 {
             s.push(',');
@@ -153,7 +144,7 @@ fn analyze(json: bool) -> ExitCode {
     let violations = nmad_verify::analyze::analyze_files(&files);
     let rules = nmad_verify::analyze::rule_catalog().len();
     if json {
-        emit_violations_json("analyze", &violations, files.len(), rules);
+        emit_violations_json(&violations, files.len(), rules);
     } else {
         for v in &violations {
             println!("{v}");
@@ -162,36 +153,6 @@ fn analyze(json: bool) -> ExitCode {
             "analyze: {} file(s) checked against {} rule(s), {} violation(s)",
             files.len(),
             rules,
-            violations.len()
-        );
-    }
-    if violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn lint(json: bool) -> ExitCode {
-    let root = workspace_root();
-    let files = read_sources(&root);
-    let mut violations = Vec::new();
-    let mut checked = 0usize;
-    for (rel, raw) in &files {
-        checked += 1;
-        violations.extend(nmad_verify::lint::lint_file(rel, raw));
-    }
-
-    if json {
-        emit_violations_json("lint", &violations, checked, nmad_verify::lint::RULES.len());
-    } else {
-        for v in &violations {
-            println!("{v}");
-        }
-        println!(
-            "lint: {} file(s) checked against {} rule(s), {} violation(s)",
-            checked,
-            nmad_verify::lint::RULES.len(),
             violations.len()
         );
     }

@@ -11,7 +11,7 @@
 //! This shim is the only workspace crate allowed to contain `unsafe`
 //! (the engine crates all carry `#![forbid(unsafe_code)]`); every
 //! unsafe site below documents its invariant with a `// SAFETY:`
-//! comment, and `cargo run -p xtask -- lint` enforces both rules. The
+//! comment, and `cargo run -p xtask -- analyze` enforces both rules. The
 //! queue's atomics go through [`sync`], so under the `nmad-model`
 //! feature the whole ticket/sequence protocol runs on the nmad-verify
 //! model checker.

@@ -1,7 +1,7 @@
 //! Sync facade for the shim's lock-free queue.
 //!
 //! The only place in this crate allowed to name raw atomics (enforced
-//! by `cargo run -p xtask -- lint`). Under `cfg(nmad_model)` — mapped
+//! by `cargo run -p xtask -- analyze`). Under `cfg(nmad_model)` — mapped
 //! from the `nmad-model` cargo feature by build.rs — the types route
 //! to the nmad-verify model-checking runtime, so `ArrayQueue`'s
 //! ticket/sequence protocol can be exhaustively model-checked; in

@@ -7,7 +7,7 @@
 //! `poll(2)` everywhere else on Unix; both are raw syscalls, and the
 //! engine crates all carry `#![forbid(unsafe_code)]`, so the unsafe
 //! FFI surface lives here — lint-contained, with every call site
-//! documenting its invariant (`cargo run -p xtask -- lint` enforces
+//! documenting its invariant (`cargo run -p xtask -- analyze` enforces
 //! both the containment and the `// SAFETY:` comments).
 //!
 //! The safe API mirrors the real `polling` crate's shape (`Poller`,

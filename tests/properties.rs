@@ -18,7 +18,6 @@ fn strategies() -> Vec<(&'static str, MkStrategy)> {
     vec![
         ("default", || Box::new(StratDefault)),
         ("aggreg", || Box::new(StratAggreg)),
-        ("aggreg_hol", || Box::new(StratAggregHol::new())),
         ("reorder", || Box::new(StratReorder)),
         ("multirail", || Box::new(StratMultirail::default())),
         ("lanes", || Box::new(StratLanes::new())),
@@ -348,70 +347,65 @@ proptest! {
 
     /// Sharded routing with mixed priorities: flows hash to a shard on
     /// both nodes, every class of traffic rides its flow's shard, and
-    /// delivery is exact per flow under the tail-aware strategies —
-    /// lane-based reordering never crosses a flow boundary.
+    /// delivery is exact per flow under `lanes` — lane-based
+    /// reordering never crosses a flow boundary.
     #[test]
     fn sharded_routing_delivers_mixed_priority_flows_exactly(
         items in proptest::collection::vec((0u32..12, 1usize..2000, 0u8..4), 1..16)
     ) {
         use newmadeleine::core::ShardPolicy;
         const SHARDS: usize = 2;
-        for (name, mk) in [
-            ("lanes", (|| Box::new(StratLanes::new())) as MkStrategy),
-            ("aggreg_hol", || Box::new(StratAggregHol::new())),
-        ] {
-            let world = shared_world(SimConfig::two_nodes_multirail(vec![nic::mx_myri10g(); SHARDS]));
-            let policy = ShardPolicy::HashByDest;
-            let multi = |node: u32| {
-                let drivers: Vec<Box<dyn Driver>> = SimDriver::all_rails(&world, NodeId(node))
-                    .into_iter()
-                    .map(|d| Box::new(d) as Box<dyn Driver>)
-                    .collect();
-                let meter = Box::new(newmadeleine::net::SimCpuMeter::new(world.clone(), NodeId(node)));
-                NmadEngine::new(drivers, meter, mk(), EngineCosts::zero())
-            };
-            let mut senders = multi(0).split_for_shards(SHARDS, policy);
-            let mut sinks = multi(1).split_for_shards(SHARDS, policy);
-            let shard_of = |tag: u32| policy.route(SHARDS, NodeId(0), NodeId(1), Tag(tag));
-            let mut expected: std::collections::HashMap<u32, Vec<Vec<u8>>> = Default::default();
-            let mut sends = Vec::new();
-            let mut recvs = Vec::new();
-            for (i, &(tag, len, lane)) in items.iter().enumerate() {
-                let body: Vec<u8> = (0..len).map(|j| ((i * 17 + j) % 251) as u8).collect();
-                let s = shard_of(tag);
-                let idx = expected.get(&tag).map_or(0, Vec::len);
-                recvs.push((tag, idx, s, sinks[s].post_recv(NodeId(0), Tag(tag), len)));
-                sends.push((s, senders[s].submit_send_parts(
-                    NodeId(1),
-                    Tag(tag),
-                    vec![(Bytes::from(body.clone()), Priority::from_lane(lane))],
-                    None,
-                )));
-                expected.entry(tag).or_default().push(body);
+        let world = shared_world(SimConfig::two_nodes_multirail(vec![nic::mx_myri10g(); SHARDS]));
+        let policy = ShardPolicy::HashByDest;
+        let multi = |node: u32| {
+            let drivers: Vec<Box<dyn Driver>> = SimDriver::all_rails(&world, NodeId(node))
+                .into_iter()
+                .map(|d| Box::new(d) as Box<dyn Driver>)
+                .collect();
+            let meter = Box::new(newmadeleine::net::SimCpuMeter::new(world.clone(), NodeId(node)));
+            NmadEngine::new(drivers, meter, Box::new(StratLanes::new()), EngineCosts::zero())
+        };
+        let mut senders = multi(0).split_for_shards(SHARDS, policy);
+        let mut sinks = multi(1).split_for_shards(SHARDS, policy);
+        let shard_of = |tag: u32| policy.route(SHARDS, NodeId(0), NodeId(1), Tag(tag));
+        let mut expected: std::collections::HashMap<u32, Vec<Vec<u8>>> = Default::default();
+        let mut sends = Vec::new();
+        let mut recvs = Vec::new();
+        for (i, &(tag, len, lane)) in items.iter().enumerate() {
+            let body: Vec<u8> = (0..len).map(|j| ((i * 17 + j) % 251) as u8).collect();
+            let s = shard_of(tag);
+            let idx = expected.get(&tag).map_or(0, Vec::len);
+            recvs.push((tag, idx, s, sinks[s].post_recv(NodeId(0), Tag(tag), len)));
+            sends.push((s, senders[s].submit_send_parts(
+                NodeId(1),
+                Tag(tag),
+                vec![(Bytes::from(body.clone()), Priority::from_lane(lane))],
+                None,
+            )));
+            expected.entry(tag).or_default().push(body);
+        }
+        let mut spins = 0u32;
+        loop {
+            let mut moved = false;
+            for e in senders.iter_mut().chain(sinks.iter_mut()) {
+                moved |= e.progress_until_idle();
             }
-            let mut spins = 0u32;
-            loop {
-                let mut moved = false;
-                for e in senders.iter_mut().chain(sinks.iter_mut()) {
-                    moved |= e.progress_until_idle();
-                }
-                let all = sends.iter().all(|&(s, r)| senders[s].is_send_done(r))
-                    && recvs.iter().all(|&(_, _, s, r)| sinks[s].is_recv_done(r));
-                if all { break; }
-                if !moved && world.lock().advance().is_none() {
-                    panic!("sharded deadlock under {name}");
-                }
-                spins += 1;
-                prop_assert!(spins < 1_000_000, "sharded livelock under {name}");
+            let all = sends.iter().all(|&(s, r)| senders[s].is_send_done(r))
+                && recvs.iter().all(|&(_, _, s, r)| sinks[s].is_recv_done(r));
+            if all { break; }
+            if !moved && world.lock().advance().is_none() {
+                panic!("sharded deadlock");
             }
-            for (tag, idx, s, r) in recvs {
-                let done = sinks[s].try_take_recv(r).expect("completed");
-                prop_assert_eq!(
-                    &done.data,
-                    &expected[&tag][idx],
-                    "strategy {} flow {} item {}", name, tag, idx
-                );
-            }
+            spins += 1;
+            prop_assert!(spins < 1_000_000, "sharded livelock");
+        }
+        for (tag, idx, s, r) in recvs {
+            let done = sinks[s].try_take_recv(r).expect("completed");
+            prop_assert_eq!(
+                &done.data,
+                &expected[&tag][idx],
+                "flow {} item {}", tag, idx
+            );
         }
     }
 

@@ -10,8 +10,7 @@ use newmadeleine::core::eager_cutoff;
 use newmadeleine::core::wire::{ENTRY_HEADER_LEN, FRAME_HEADER_LEN};
 use newmadeleine::core::{
     EngineCosts, NmadEngine, PackWrapper, PlanEntry, Priority, SendReqId, SeqNo, StratAggreg,
-    StratAggregHol, StratDefault, StratDynamic, StratLanes, StratMultirail, StratReorder, Strategy,
-    Tag, Window,
+    StratDefault, StratDynamic, StratLanes, StratMultirail, StratReorder, Strategy, Tag, Window,
 };
 use newmadeleine::net::{Capabilities, SimDriver};
 use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SimConfig};
@@ -52,7 +51,6 @@ fn strategies() -> Vec<(&'static str, Box<dyn Strategy>)> {
         ("reorder", Box::new(StratReorder)),
         ("multirail", Box::new(StratMultirail::default())),
         ("dynamic", Box::new(StratDynamic::new())),
-        ("aggreg_hol", Box::new(StratAggregHol::new())),
         ("lanes", Box::new(StratLanes::new())),
     ];
     for (_, s) in &mut out {
