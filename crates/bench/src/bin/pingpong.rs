@@ -22,6 +22,10 @@ fn main() {
     let reps = if quick { 1 } else { 3 };
     let iters = if quick { 2 } else { 8 };
     let sizes = [16usize, 256, 4 * 1024, 64 * 1024];
+    // The mem rows are wall clock, so they always warm up first and
+    // time enough round trips to hide a fresh engine's first-touch
+    // costs; the sim rows keep `iters`, their virtual time is exact.
+    let (mem_warmup, mem_iters) = (10, 100);
     let report = BenchReport::new();
 
     println!("\n## ping-pong smoke — sim driver (MX/Myri-10G, aggreg)\n");
@@ -57,7 +61,9 @@ fn main() {
         "pool hit/miss",
     ]);
     for &size in &sizes {
-        let samples: Vec<PingPongSample> = (0..reps).map(|_| pingpong_mem(size, iters)).collect();
+        let samples: Vec<PingPongSample> = (0..reps)
+            .map(|_| pingpong_mem(size, mem_warmup, mem_iters))
+            .collect();
         report.record("pingpong/mem", "nmad(aggreg)", size, &samples);
         table.row(row_for(size, &samples));
     }
@@ -88,9 +94,10 @@ fn row_for(size: usize, samples: &[PingPongSample]) -> Vec<String> {
 }
 
 /// Ping-pong over the in-process `mem` driver: two real engines, wall
-/// clock time. Latency here includes host scheduling noise — CI treats
-/// it as a smoke signal, not a paper figure.
-fn pingpong_mem(size: usize, iters: usize) -> PingPongSample {
+/// clock time. `warmup` untimed round trips precede the `iters` timed
+/// ones. Latency here includes host scheduling noise — CI treats it as
+/// a smoke signal, not a paper figure.
+fn pingpong_mem(size: usize, warmup: usize, iters: usize) -> PingPongSample {
     let mut fabric = mem_fabric(2);
     let d1 = fabric.pop().expect("two endpoints");
     let d0 = fabric.pop().expect("two endpoints");
@@ -104,24 +111,14 @@ fn pingpong_mem(size: usize, iters: usize) -> PingPongSample {
     };
     let (mut a, mut b) = (mk(d0), mk(d1));
     let payload = vec![0x5Au8; size];
+    for _ in 0..warmup {
+        round_trip(&mut a, &mut b, &payload);
+    }
 
     let t0 = std::time::Instant::now();
     let frames0 = a.stats().frames_sent;
     for _ in 0..iters {
-        let r_pong = a.post_recv(NodeId(1), Tag(0), size);
-        let r_ping = b.post_recv(NodeId(0), Tag(0), size);
-        let _s = a.isend(NodeId(1), Tag(0), payload.clone());
-        while !b.is_recv_done(r_ping) {
-            a.progress();
-            b.progress();
-        }
-        let echo = b.try_take_recv(r_ping).expect("tested").data;
-        let _s2 = b.isend(NodeId(0), Tag(0), echo);
-        while !a.is_recv_done(r_pong) {
-            a.progress();
-            b.progress();
-        }
-        a.try_take_recv(r_pong);
+        round_trip(&mut a, &mut b, &payload);
     }
     let one_way_us = t0.elapsed().as_secs_f64() * 1e6 / (2.0 * iters as f64);
     let frames = (a.stats().frames_sent - frames0) as f64;
@@ -131,4 +128,23 @@ fn pingpong_mem(size: usize, iters: usize) -> PingPongSample {
         frames_per_ping: frames / iters as f64,
         metrics: Some(a.metrics()),
     }
+}
+
+/// One mem ping-pong round trip: `a` sends `payload`, `b` echoes it.
+fn round_trip(a: &mut NmadEngine, b: &mut NmadEngine, payload: &[u8]) {
+    let size = payload.len();
+    let r_pong = a.post_recv(NodeId(1), Tag(0), size);
+    let r_ping = b.post_recv(NodeId(0), Tag(0), size);
+    let _s = a.isend(NodeId(1), Tag(0), payload.to_vec());
+    while !b.is_recv_done(r_ping) {
+        a.progress();
+        b.progress();
+    }
+    let echo = b.try_take_recv(r_ping).expect("tested").data;
+    let _s2 = b.isend(NodeId(0), Tag(0), echo);
+    while !a.is_recv_done(r_pong) {
+        a.progress();
+        b.progress();
+    }
+    a.try_take_recv(r_pong);
 }

@@ -415,6 +415,9 @@ pub struct NmadEngine {
     credit_limit: Option<usize>,
     credits: FxHashMap<NodeId, usize>,
     pending_credit_returns: FxHashMap<NodeId, u32>,
+    /// Scratch for the peers owed a standalone credit return, reused
+    /// by every pump.
+    credit_owed: Vec<NodeId>,
     /// Shard identity when this engine is one shard of a sharded
     /// runtime; `None` for a monolithic engine.
     route: Option<ShardRoute>,
@@ -490,6 +493,7 @@ impl NmadEngine {
             credit_limit: None,
             credits: FxHashMap::default(),
             pending_credit_returns: FxHashMap::default(),
+            credit_owed: Vec::new(),
             route: None,
             foreign_rx: Vec::new(),
             spool: VecDeque::new(),
@@ -1321,9 +1325,12 @@ impl NmadEngine {
                 }
             }
             loop {
+                // The engine's own state first: an empty window needs
+                // no driver call.
                 if self.nics[i].dead // PANIC-OK: i < nics.len() loop bound
-                    || !self.nics[i].driver.tx_idle() // PANIC-OK: i < nics.len() loop bound
                     || self.window.is_empty_for(i)
+                    // PANIC-OK: i < nics.len() loop bound
+                    || !self.nics[i].driver.tx_idle()
                 {
                     break;
                 }
@@ -1355,17 +1362,22 @@ impl NmadEngine {
             }
             // Standalone credit returns: peers we owe credits but have
             // no other traffic towards, lowest node first so the map's
-            // iteration order never picks who goes out.
+            // iteration order never picks who goes out. The driver is
+            // asked whether it is idle only once some credit is owed.
             // PANIC-OK: i < nics.len() loop bound
-            if self.credit_limit.is_some() && !self.nics[i].dead && self.nics[i].driver.tx_idle() {
-                let mut owed: Vec<NodeId> = self
-                    .pending_credit_returns
-                    .iter()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(&n, _)| n)
-                    .collect();
+            if self.credit_limit.is_some() && !self.nics[i].dead {
+                // Taken out of `self` for the loop, which posts through
+                // `self`; a transport error drops it with the pump.
+                let mut owed = std::mem::take(&mut self.credit_owed);
+                owed.clear();
+                owed.extend(
+                    self.pending_credit_returns
+                        .iter()
+                        .filter(|&(_, &c)| c > 0)
+                        .map(|(&n, _)| n),
+                );
                 owed.sort_unstable();
-                for dst in owed {
+                for &dst in &owed {
                     // PANIC-OK: i < nics.len() loop bound
                     if !self.nics[i].driver.tx_idle() {
                         break;
@@ -1390,6 +1402,7 @@ impl NmadEngine {
                     self.stats.credit_frames += 1;
                     any = true;
                 }
+                self.credit_owed = owed;
             }
         }
         Ok(any)
@@ -1687,6 +1700,7 @@ impl NmadEngine {
                 credit_limit: self.credit_limit,
                 credits: credits.take().unwrap_or_default(),
                 pending_credit_returns: pending.take().unwrap_or_default(),
+                credit_owed: Vec::new(),
                 route: Some(ShardRoute {
                     shard: s,
                     shards,
@@ -1818,6 +1832,7 @@ impl NmadEngine {
             credit_limit,
             credits,
             pending_credit_returns: pending,
+            credit_owed: Vec::new(),
             route: None,
             foreign_rx: Vec::new(),
             spool: VecDeque::new(),
@@ -2029,6 +2044,80 @@ mod tests {
         assert_eq!(signals.lock().as_slice(), [true, false]);
         assert!(sends.iter().all(|&s| a.is_send_done(s)));
         assert!(recvs.iter().all(|&r| b.is_recv_done(r)));
+    }
+
+    /// Driver decorator counting the engine's `tx_idle` questions.
+    struct CountingIdle {
+        inner: nmad_net::mem::MemDriver,
+        calls: std::sync::Arc<parking_lot::Mutex<usize>>,
+    }
+
+    impl Driver for CountingIdle {
+        fn caps(&self) -> &nmad_net::Capabilities {
+            self.inner.caps()
+        }
+        fn local_node(&self) -> NodeId {
+            self.inner.local_node()
+        }
+        fn post_send(&mut self, dst: NodeId, iov: &[&[u8]]) -> NetResult<SendHandle> {
+            self.inner.post_send(dst, iov)
+        }
+        fn test_send(&mut self, handle: SendHandle) -> NetResult<bool> {
+            self.inner.test_send(handle)
+        }
+        fn poll_recv(&mut self) -> NetResult<Option<nmad_net::RxFrame>> {
+            self.inner.poll_recv()
+        }
+        fn tx_idle(&self) -> bool {
+            *self.calls.lock() += 1;
+            self.inner.tx_idle()
+        }
+    }
+
+    #[test]
+    fn idle_pump_makes_no_tx_idle_call() {
+        for credits in [None, Some(2)] {
+            let mut fabric = nmad_net::mem::mem_fabric(2);
+            let b_driver = fabric.pop().unwrap();
+            let a_driver = fabric.pop().unwrap();
+            let calls = std::sync::Arc::new(parking_lot::Mutex::new(0usize));
+            let mk = |driver: Box<dyn Driver>| {
+                let mut e = NmadEngine::new(
+                    vec![driver],
+                    Box::new(nmad_net::NullMeter),
+                    Box::new(StratDefault),
+                    EngineCosts::zero(),
+                );
+                e.set_eager_credit_limit(credits);
+                e
+            };
+            let mut a = mk(Box::new(a_driver));
+            let mut b = mk(Box::new(CountingIdle {
+                inner: b_driver,
+                calls: calls.clone(),
+            }));
+
+            // Traffic both ways: under a credit limit b owes `a`
+            // credits, returns them, and keeps `a` in its owed map
+            // with a zero count.
+            let sends: Vec<_> = (0..4)
+                .map(|t| a.isend(NodeId(1), Tag(t), vec![t as u8; 16]))
+                .collect();
+            let recvs: Vec<_> = (0..4).map(|t| b.post_recv(NodeId(0), Tag(t), 16)).collect();
+            let echo = b.isend(NodeId(0), Tag(9), vec![9; 16]);
+            let back = a.post_recv(NodeId(1), Tag(9), 16);
+            while a.progress() | b.progress() {}
+            assert!(sends.iter().all(|&s| a.is_send_done(s)), "{credits:?}");
+            assert!(recvs.iter().all(|&r| b.is_recv_done(r)), "{credits:?}");
+            assert!(b.is_send_done(echo) && a.is_recv_done(back), "{credits:?}");
+            assert!(*calls.lock() > 0, "b's refill loop asked while it sent");
+
+            *calls.lock() = 0;
+            for _ in 0..8 {
+                assert!(!b.progress(), "{credits:?}: nothing left to move");
+            }
+            assert_eq!(*calls.lock(), 0, "credit limit {credits:?}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`host`] — CPU/memcpy model plus per-library software costs;
 //! * [`topo`] — node/rail identifiers, cluster configuration;
 //! * [`world`] — the event-driven cluster (`post_send` / `poll_recv` /
-//!   `charge_cpu` / `advance`);
+//!   `charge_cpu` / `advance`) and its lock-free readiness mirror;
 //! * [`runner`] — co-simulation loop pumping engines and advancing time;
 //! * [`trace`] — optional event log for tests and debugging;
 //! * [`timeline`] — human-readable rendering of traces.
@@ -45,4 +45,4 @@ pub use nic::NicModel;
 pub use runner::{run_until, shared_world, Deadlock, SharedWorld};
 pub use time::{SimDuration, SimTime};
 pub use topo::{NodeId, RailId, SimConfig};
-pub use world::{RxPacket, SendToken, SimWorld, WorldStats};
+pub use world::{Readiness, RxPacket, SendToken, SimWorld, WorldStats};

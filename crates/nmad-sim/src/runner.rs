@@ -18,7 +18,10 @@ use crate::world::SimWorld;
 
 /// A `SimWorld` shared between the engines of every node in one
 /// process. The simulation itself is single-threaded; the mutex exists
-/// so drivers can hold cheap cloneable handles.
+/// so drivers can hold cheap cloneable handles. Idle polls do not take
+/// it: drivers answer them from the world's lock-free
+/// [`Readiness`](crate::world::Readiness) mirror and lock only to pop a
+/// due packet, consume a finished send or post.
 pub type SharedWorld = Arc<Mutex<SimWorld>>;
 
 /// Builds a shared world from a configuration.

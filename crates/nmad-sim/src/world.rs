@@ -14,9 +14,17 @@
 //! calls it whenever every engine is quiescent, which makes every run
 //! deterministic and lets the figure harnesses read exact virtual
 //! timings.
+//!
+//! The world also publishes the values an idle poll reads — the clock,
+//! and per node × rail the instant the inbox head is due and the
+//! instant the transmit side is free — in a lock-free [`Readiness`]
+//! mirror, so a driver can answer "nothing yet" without the world lock.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
+
+use crossbeam::sync::{AtomicU64, Ordering};
 
 use crate::events::TimerWheel;
 use crate::hash::FxHashMap;
@@ -100,6 +108,65 @@ struct NodeState {
     rails: Vec<RailState>,
 }
 
+/// Lock-free mirror of the world state an idle poll reads.
+///
+/// A poll that finds nothing is the engine's most frequent operation:
+/// the transfer layer keeps polling every NIC and asks its strategy for
+/// a packet only when one goes idle (paper §3.3). `SimWorld` publishes
+/// the three values that decide such a poll, and a driver answers from
+/// them without the world lock:
+///
+/// * the clock, stored by [`SimWorld::advance`];
+/// * per node × rail, the delivery instant of the inbox head, or
+///   `u64::MAX` for an empty inbox, stored after every push, pop and
+///   clear of that inbox;
+/// * per node × rail, the instant the transmit side is free, stored by
+///   every post; `0` once the rail failed, because a failed rail
+///   reports idle to its driver.
+///
+/// Every store happens under the world lock, right after the state it
+/// mirrors changed; DESIGN §4 argues why an answer read from the mirror
+/// always equals the locked world's.
+pub struct Readiness {
+    rails: usize,
+    now_ns: AtomicU64,
+    rx_ready_at: Box<[AtomicU64]>,
+    tx_free_at: Box<[AtomicU64]>,
+}
+
+impl Readiness {
+    fn new(nodes: usize, rails: usize) -> Self {
+        let slots = |init: u64| (0..nodes * rails).map(|_| AtomicU64::new(init)).collect();
+        Readiness {
+            rails,
+            now_ns: AtomicU64::new(0),
+            rx_ready_at: slots(u64::MAX),
+            tx_free_at: slots(0),
+        }
+    }
+
+    fn slot(&self, node: NodeId, rail: RailId) -> usize {
+        node.index() * self.rails + rail.index()
+    }
+
+    /// Current virtual time, in nanoseconds.
+    pub fn now_ns(&self) -> u64 {
+        self.now_ns.load(Ordering::Acquire)
+    }
+
+    /// Instant (ns) the next packet in `node`'s inbox on `rail` is due,
+    /// or `u64::MAX` when the inbox is empty.
+    pub fn rx_ready_at(&self, node: NodeId, rail: RailId) -> u64 {
+        self.rx_ready_at[self.slot(node, rail)].load(Ordering::Acquire)
+    }
+
+    /// Instant (ns) `node`'s transmit side on `rail` is free; `0` once
+    /// the rail failed.
+    pub fn tx_free_at(&self, node: NodeId, rail: RailId) -> u64 {
+        self.tx_free_at[self.slot(node, rail)].load(Ordering::Acquire)
+    }
+}
+
 /// The simulated cluster. See the module documentation.
 pub struct SimWorld {
     now: SimTime,
@@ -110,6 +177,7 @@ pub struct SimWorld {
     wakeups: TimerWheel,
     stats: WorldStats,
     trace: Option<Trace>,
+    ready: Arc<Readiness>,
 }
 
 impl SimWorld {
@@ -118,6 +186,7 @@ impl SimWorld {
         assert!(config.nodes >= 1, "need at least one node");
         assert!(!config.rails.is_empty(), "need at least one rail");
         let rail_count = config.rails.len();
+        let ready = Arc::new(Readiness::new(config.nodes, rail_count));
         let nodes = (0..config.nodes)
             .map(|_| NodeState {
                 cpu_free_at: SimTime::ZERO,
@@ -136,7 +205,29 @@ impl SimWorld {
                 ..WorldStats::default()
             },
             trace: None,
+            ready,
         }
+    }
+
+    /// The lock-free mirror of the clock and of every rail's readiness,
+    /// shared with the drivers.
+    pub fn readiness(&self) -> Arc<Readiness> {
+        Arc::clone(&self.ready)
+    }
+
+    /// Publishes the head of `node`'s inbox on `rail` to the mirror.
+    fn publish_rx(&self, node: NodeId, rail: RailId) {
+        let head = self.nodes[node.index()].rails[rail.index()]
+            .inbox
+            .peek()
+            .map_or(u64::MAX, |Reverse(p)| p.deliver_at.as_ns());
+        self.ready.rx_ready_at[self.ready.slot(node, rail)].store(head, Ordering::Release);
+    }
+
+    /// Publishes when `node`'s transmit side on `rail` is free.
+    fn publish_tx(&self, node: NodeId, rail: RailId, free_at: SimTime) {
+        self.ready.tx_free_at[self.ready.slot(node, rail)]
+            .store(free_at.as_ns(), Ordering::Release);
     }
 
     /// Current virtual time.
@@ -230,6 +321,8 @@ impl SimWorld {
         let state = &mut self.nodes[node.index()].rails[rail.index()];
         state.failed = true;
         state.inbox.clear();
+        self.publish_rx(node, rail);
+        self.publish_tx(node, rail, SimTime::ZERO);
     }
 
     /// Whether `node`'s NIC on `rail` has been failed.
@@ -332,6 +425,7 @@ impl SimWorld {
         let deliver_at = tx_end + latency + extra;
         rail_state.tx_busy_until = tx_end;
         rail_state.tx_busy_total += wire;
+        self.publish_tx(src, rail, tx_end);
 
         let token = SendToken(self.next_seq);
         let seq = self.next_seq;
@@ -352,6 +446,7 @@ impl SimWorld {
                     src,
                     payload,
                 }));
+            self.publish_rx(dst, rail);
         }
 
         self.wakeups.push(tx_end);
@@ -397,6 +492,7 @@ impl SimWorld {
             .inbox
             .pop()
             .expect("peeked"); // PANIC-OK: peeked on the line above
+        self.publish_rx(node, rail);
         let rx_overhead = self.rails[rail.index()].rx_overhead;
         self.charge_cpu(node, rx_overhead);
         self.record(TraceEvent::Deliver {
@@ -429,6 +525,7 @@ impl SimWorld {
         while let Some(t) = self.wakeups.pop_earliest() {
             if t > self.now {
                 self.now = t;
+                self.ready.now_ns.store(t.as_ns(), Ordering::Release);
                 return Some(t);
             }
         }
@@ -653,6 +750,66 @@ mod tests {
         assert_eq!(t.decision_entries_for(N0), 8);
         assert_eq!(t.decision_entries_for(N1), 0);
         assert_eq!(t.events()[0].kind_name(), "decision");
+    }
+
+    /// Asserts the readiness mirror equals the locked state it mirrors.
+    fn assert_mirror(w: &SimWorld) -> Result<(), proptest::test_runner::TestCaseError> {
+        let ready = w.readiness();
+        proptest::prop_assert_eq!(ready.now_ns(), w.now.as_ns());
+        for (n, node) in w.nodes.iter().enumerate() {
+            for (r, rail) in node.rails.iter().enumerate() {
+                let (id, rid) = (NodeId(n as u32), RailId(r as u16));
+                let head = rail
+                    .inbox
+                    .peek()
+                    .map_or(u64::MAX, |Reverse(p)| p.deliver_at.as_ns());
+                proptest::prop_assert_eq!(ready.rx_ready_at(id, rid), head, "{}/{}", id, rid);
+                let free = if rail.failed {
+                    0
+                } else {
+                    rail.tx_busy_until.as_ns()
+                };
+                proptest::prop_assert_eq!(ready.tx_free_at(id, rid), free, "{}/{}", id, rid);
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 64,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// Every push, pop and clear of an inbox, every post and every
+        /// clock move leaves the mirror equal to the locked state.
+        #[test]
+        fn readiness_mirrors_every_state_change(
+            ops in proptest::collection::vec((0u8..4, 0u32..3, 1u32..3, 0u16..2, 0usize..20_000), 1..200)
+        ) {
+            let mut w = SimWorld::new(SimConfig {
+                nodes: 3,
+                ..SimConfig::two_nodes_multirail(vec![nic::mx_myri10g(), nic::quadrics_qm500()])
+            });
+            assert_mirror(&w)?;
+            for (kind, node, hop, rail, len) in ops {
+                let (id, rid) = (NodeId(node), RailId(rail));
+                match kind {
+                    0 if !w.rail_failed(id, rid) => {
+                        w.post_send(id, rid, NodeId((node + hop) % 3), vec![0u8; len]);
+                    }
+                    1 => {
+                        w.advance();
+                    }
+                    2 => {
+                        w.poll_recv(id, rid);
+                    }
+                    3 if len < 1_000 => w.fail_rail(id, rid),
+                    _ => {}
+                }
+                assert_mirror(&w)?;
+            }
+        }
     }
 
     #[test]
