@@ -456,7 +456,8 @@ impl DirectEngine {
 mod tests {
     use super::*;
     use nmad_net::sim::SimDriver;
-    use nmad_sim::{nic, shared_world, RailId, SharedWorld, SimConfig};
+    use nmad_sim::{nic, run_until, shared_world, RailId, SharedWorld, SimConfig};
+    use std::ops::ControlFlow;
 
     fn pair(cfg: fn() -> DirectConfig) -> (SharedWorld, DirectEngine, DirectEngine) {
         let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
@@ -474,17 +475,15 @@ mod tests {
         b: &mut DirectEngine,
         mut done: impl FnMut(&mut DirectEngine, &mut DirectEngine) -> bool,
     ) {
-        for _ in 0..100_000 {
-            let mut moved = a.progress();
-            moved |= b.progress();
+        run_until(world, || {
+            let moved = a.progress() | b.progress();
             if done(a, b) {
-                return;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(moved)
             }
-            if !moved && world.lock().advance().is_none() {
-                panic!("deadlock: {}", world.lock().pending_summary());
-            }
-        }
-        panic!("did not converge");
+        })
+        .expect("no deadlock");
     }
 
     #[test]

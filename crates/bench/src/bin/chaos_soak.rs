@@ -19,7 +19,8 @@ use mad_mpi::{pump_cluster, sim_cluster_multirail, EngineKind, StrategyKind};
 use nmad_core::prelude::*;
 use nmad_net::sim::SimDriver;
 use nmad_net::{DetRng, Driver, FaultPlan, ReliableDriver, SimCpuMeter};
-use nmad_sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
+use nmad_sim::{nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
+use std::ops::ControlFlow;
 
 const RTO_NS: u64 = 200_000;
 
@@ -152,7 +153,7 @@ fn reliable_chaos(seed: u64, quick: bool) -> String {
         .collect();
     let r_big = b.post_recv(NodeId(0), Tag(99), big.len());
 
-    for _ in 0..5_000_000u64 {
+    let done = run_until(&world, || {
         let moved = a.progress() | b.progress();
         let all = s_fwd.iter().all(|&s| a.is_send_done(s))
             && s_back.iter().all(|&s| b.is_send_done(s))
@@ -161,30 +162,27 @@ fn reliable_chaos(seed: u64, quick: bool) -> String {
             && r_back.iter().all(|&r| a.is_recv_done(r))
             && b.is_recv_done(r_big);
         if all {
-            for (i, &r) in r_fwd.iter().enumerate() {
-                assert_eq!(b.try_take_recv(r).unwrap().data, fwd[i], "fwd {i}");
-            }
-            for (i, &r) in r_back.iter().enumerate() {
-                assert_eq!(a.try_take_recv(r).unwrap().data, back[i], "back {i}");
-            }
-            assert_eq!(b.try_take_recv(r_big).unwrap().data, big, "rendezvous");
-            // Same guard-lifetime care as in `mpi_death_chaos`:
-            // `a.metrics()` locks the world via the driver's
-            // `link_stats`, so the clock read must not hold the lock.
-            let done_ns = world.lock().now().as_ns();
-            return format!(
-                "t={done_ns} m0={} m1={} f0={:?} f1={:?}",
-                a.metrics().to_json(),
-                b.metrics().to_json(),
-                a.fault_stats(0),
-                b.fault_stats(0),
-            );
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
+    })
+    .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+    for (i, &r) in r_fwd.iter().enumerate() {
+        assert_eq!(b.try_take_recv(r).unwrap().data, fwd[i], "fwd {i}");
     }
-    panic!("no convergence for seed {seed:#x}");
+    for (i, &r) in r_back.iter().enumerate() {
+        assert_eq!(a.try_take_recv(r).unwrap().data, back[i], "back {i}");
+    }
+    assert_eq!(b.try_take_recv(r_big).unwrap().data, big, "rendezvous");
+    format!(
+        "t={} m0={} m1={} f0={:?} f1={:?}",
+        done.as_ns(),
+        a.metrics().to_json(),
+        b.metrics().to_json(),
+        a.fault_stats(0),
+        b.fault_stats(0),
+    )
 }
 
 fn json_escape(s: &str) -> String {

@@ -15,7 +15,8 @@ use bench::Table;
 use nmad_core::prelude::*;
 use nmad_net::sim::SimDriver;
 use nmad_net::{Driver, LossyDriver, ReliableDriver, SelectiveDriver, SimCpuMeter};
-use nmad_sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
+use nmad_sim::{nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
+use std::ops::ControlFlow;
 
 // Per-protocol retransmission timeouts, each sized to its own hazard:
 // go-back-N must cover the round trip of its whole outstanding window
@@ -85,19 +86,19 @@ fn run(loss: f64, seed: u64, proto: Protocol) -> (f64, f64) {
         .collect();
     let r_bulk = b.post_recv(NodeId(0), Tag(100), BULK_BYTES);
 
-    loop {
+    run_until(&world, || {
         let moved = a.progress() | b.progress();
         let all = sends.iter().all(|&s| a.is_send_done(s))
             && a.is_send_done(s_bulk)
             && recvs.iter().all(|&r| b.is_recv_done(r))
             && b.is_recv_done(r_bulk);
         if all {
-            break;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock at loss {loss}");
-        }
-    }
+    })
+    .unwrap_or_else(|e| panic!("at loss {loss}: {e}"));
     assert_eq!(b.try_take_recv(r_bulk).expect("bulk").data, bulk);
 
     let w = world.lock();

@@ -27,7 +27,8 @@ use nmad_core::prelude::*;
 use nmad_core::ShardPolicy;
 use nmad_net::sim::SimDriver;
 use nmad_net::Driver;
-use nmad_sim::{host, nic, shared_world, NodeId, SharedWorld, SimConfig};
+use nmad_sim::{host, nic, run_until, shared_world, NodeId, SharedWorld, SimConfig};
+use std::ops::ControlFlow;
 
 /// Distinct flows (tags) hashed across the shards. Large enough that
 /// even 8 shards each own several flows with near-certainty.
@@ -137,29 +138,20 @@ fn run_shards(n: usize, msgs_per_flow: usize, size: usize) -> ShardRow {
 
     // Inline co-simulation: poll every shard of both nodes; when the
     // whole fleet is quiescent, advance virtual time to the next event.
-    let done = |senders: &mut [NmadEngine], sinks: &mut [NmadEngine]| {
-        sends.iter().all(|&(s, r)| senders[s].is_send_done(r))
-            && recvs.iter().all(|&(s, r)| sinks[s].is_recv_done(r))
-    };
-    for _ in 0..10_000_000u64 {
+    run_until(&world, || {
         let mut moved = false;
         for e in senders.iter_mut().chain(sinks.iter_mut()) {
             moved |= e.progress_until_idle();
         }
-        if done(&mut senders, &mut sinks) {
-            break;
+        if sends.iter().all(|&(s, r)| senders[s].is_send_done(r))
+            && recvs.iter().all(|&(s, r)| sinks[s].is_recv_done(r))
+        {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!(
-                "shard co-simulation deadlock at n={n}\n{}",
-                world.lock().pending_summary()
-            );
-        }
-    }
-    assert!(
-        done(&mut senders, &mut sinks),
-        "shard co-simulation did not converge at n={n}"
-    );
+    })
+    .unwrap_or_else(|e| panic!("shard co-simulation at n={n}: {e}"));
     for (s, r) in recvs.drain(..) {
         sinks[s].try_take_recv(r);
     }

@@ -30,17 +30,19 @@
 //! Run: `cargo run --release -p bench --bin tail [-- --quick]`
 
 use bench::{generate_tail, Table, TailItem, TailReport, TailRow, TailSpec, BENCH_TAIL_JSON_PATH};
+use mad_mpi::StrategyKind;
 use nmad_core::prelude::*;
 use nmad_core::{LogHistogram, ShardPolicy};
 use nmad_net::sim::SimDriver;
 use nmad_net::{Driver, FaultPlan};
-use nmad_sim::{host, nic, shared_world, NodeId, SharedWorld, SimConfig, SimTime};
+use nmad_sim::{host, nic, run_until, shared_world, NodeId, SharedWorld, SimConfig, SimTime};
+use std::ops::ControlFlow;
 
 /// Rails per node; each is owned by one progression shard.
 const SHARDS: usize = 4;
 
 /// Strategies swept, baseline first.
-const STRATEGIES: [&str; 2] = ["aggreg", "lanes"];
+const STRATEGIES: [StrategyKind; 2] = [StrategyKind::Aggreg, StrategyKind::Lanes];
 
 /// Extra per-frame latency during the chaos brownout window, ns.
 const CHAOS_SPIKE_NS: u64 = 30_000;
@@ -72,8 +74,9 @@ fn main() {
         // Per strategy: (per-class histograms, aggregate throughput).
         let mut p999 = vec![vec![0.0f64; spec.classes.len()]; STRATEGIES.len()];
         let mut mbs = vec![0.0f64; STRATEGIES.len()];
-        for (si, strat) in STRATEGIES.iter().enumerate() {
-            let run = run_tail(strat, &spec, faults);
+        for (si, kind) in STRATEGIES.into_iter().enumerate() {
+            let strat = kind.name();
+            let run = run_tail(kind, &spec, faults);
             mbs[si] = run.throughput_mbs;
             report.record_throughput(&format!("{scenario}/{strat}"), run.throughput_mbs);
             for (ci, class) in spec.classes.iter().enumerate() {
@@ -111,9 +114,9 @@ fn main() {
         // by more); bench-diff gates these against the baseline.
         let base = STRATEGIES
             .iter()
-            .position(|s| *s == "aggreg")
+            .position(|&k| k == StrategyKind::Aggreg)
             .expect("baseline present");
-        for (si, strat) in STRATEGIES.iter().enumerate() {
+        for (si, strat) in STRATEGIES.map(StrategyKind::name).into_iter().enumerate() {
             if si == base {
                 continue;
             }
@@ -147,38 +150,33 @@ struct TailRun {
 }
 
 /// Builds one node's engine over all its simulated rails.
-fn engine(world: &SharedWorld, node: NodeId, strat: &str) -> NmadEngine {
+fn engine(world: &SharedWorld, node: NodeId, kind: StrategyKind) -> NmadEngine {
     let drivers: Vec<Box<dyn Driver>> = SimDriver::all_rails(world, node)
         .into_iter()
         .map(|d| Box::new(d) as Box<dyn Driver>)
         .collect();
-    let strategy: Box<dyn Strategy> = match strat {
-        "aggreg" => Box::new(StratAggreg),
-        "lanes" => Box::new(StratLanes::new()),
-        other => panic!("unknown strategy {other}"),
-    };
     let meter = Box::new(nmad_net::SimCpuMeter::new(world.clone(), node));
     NmadEngine::new(
         drivers,
         meter,
-        strategy,
+        kind.build(),
         EngineCosts::from_software(&host::costs_madmpi()),
     )
 }
 
 /// Replays the generated arrival trace through a sharded two-node
-/// fabric under `strat`, co-simulated inline on one OS thread. Each
+/// fabric under `kind`, co-simulated inline on one OS thread. Each
 /// item is submitted when virtual time reaches its stamp; latency is
 /// stamp → receive completion in virtual nanoseconds.
-fn run_tail(strat: &str, spec: &TailSpec, faults: bool) -> TailRun {
+fn run_tail(kind: StrategyKind, spec: &TailSpec, faults: bool) -> TailRun {
     let items = generate_tail(spec);
     let world = shared_world(SimConfig::two_nodes_multirail(vec![
         nic::mx_myri10g();
         SHARDS
     ]));
     let policy = ShardPolicy::HashByDest;
-    let mut senders = engine(&world, NodeId(0), strat).split_for_shards(SHARDS, policy);
-    let mut sinks = engine(&world, NodeId(1), strat).split_for_shards(SHARDS, policy);
+    let mut senders = engine(&world, NodeId(0), kind).split_for_shards(SHARDS, policy);
+    let mut sinks = engine(&world, NodeId(1), kind).split_for_shards(SHARDS, policy);
     if faults {
         // Seeded brownout: every sender rail slows mid-run, from the
         // first-quartile arrival stamp to the median one.
@@ -205,7 +203,7 @@ fn run_tail(strat: &str, spec: &TailSpec, faults: bool) -> TailRun {
     let t0 = world.lock().now();
     let mut last_done = t0;
 
-    for _ in 0..200_000_000u64 {
+    run_until(&world, || {
         // Release every arrival the clock has reached.
         let now_ns = world.lock().now().as_ns();
         while next < items.len() && items[next].at_ns <= now_ns {
@@ -245,26 +243,17 @@ fn run_tail(strat: &str, spec: &TailSpec, faults: bool) -> TailRun {
         }
 
         if next == items.len() && outstanding.is_empty() {
-            break;
+            return ControlFlow::Break(());
         }
-        if !moved {
-            if next < items.len() {
-                world
-                    .lock()
-                    .schedule_wakeup(SimTime::from_ns(items[next].at_ns));
-            }
-            if world.lock().advance().is_none() {
-                panic!(
-                    "tail co-simulation deadlock under {strat}\n{}",
-                    world.lock().pending_summary()
-                );
-            }
+        if !moved && next < items.len() {
+            // The clock must stop at the next arrival stamp.
+            world
+                .lock()
+                .schedule_wakeup(SimTime::from_ns(items[next].at_ns));
         }
-    }
-    assert!(
-        next == items.len() && outstanding.is_empty(),
-        "tail co-simulation did not converge under {strat}"
-    );
+        ControlFlow::Continue(moved)
+    })
+    .unwrap_or_else(|e| panic!("tail co-simulation under {}: {e}", kind.name()));
 
     let elapsed = last_done.saturating_since(t0);
     TailRun {

@@ -286,8 +286,8 @@ pub struct ShardedNmadBackend {
 impl ShardedNmadBackend {
     /// Launches `engine` on `config.shards` progression shards
     /// (clamped to the rail count) and wraps the runtime as a MAD-MPI
-    /// backend. `config.mode` must be threaded — use
-    /// [`EngineConfig::sharded`] or [`EngineConfig::threaded`].
+    /// backend; see [`EngineConfig::sharded`] and
+    /// [`EngineConfig::threaded`].
     pub fn launch(engine: NmadEngine, config: EngineConfig) -> Self {
         let runtime = ThreadedEngine::launch(engine, config);
         let handle = runtime.handle();

@@ -8,12 +8,13 @@ use crate::backend::{DirectBackend, MpiBackend, NmadBackend};
 use crate::p2p::MpiProc;
 use baselines::{mpich_config, ompi_config, DirectEngine};
 use nmad_core::{
-    EngineCosts, NmadEngine, StratAggreg, StratDefault, StratDynamic, StratMultirail, StratReorder,
-    Strategy,
+    EngineCosts, NmadEngine, StratAggreg, StratDefault, StratDynamic, StratLanes, StratMultirail,
+    StratReorder, Strategy,
 };
 use nmad_net::sim::SimDriver;
 use nmad_net::Driver;
-use nmad_sim::{host, shared_world, NicModel, NodeId, SharedWorld, SimConfig, SimTime};
+use nmad_sim::{host, run_until, shared_world, NicModel, NodeId, SharedWorld, SimConfig, SimTime};
+use std::ops::ControlFlow;
 
 /// Which scheduling strategy a MAD-MPI engine uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,6 +29,8 @@ pub enum StrategyKind {
     Multirail,
     /// Per-frame tactic selection.
     Dynamic,
+    /// Priority lanes with per-tenant quanta and aging.
+    Lanes,
 }
 
 impl StrategyKind {
@@ -39,7 +42,16 @@ impl StrategyKind {
             StrategyKind::Reorder => Box::new(StratReorder),
             StrategyKind::Multirail => Box::new(StratMultirail::default()),
             StrategyKind::Dynamic => Box::new(StratDynamic::new()),
+            StrategyKind::Lanes => Box::new(StratLanes::new()),
         }
+    }
+
+    /// The kind whose [`name`](Self::name) is `name`, if any.
+    pub fn parse(name: &str) -> Option<StrategyKind> {
+        use StrategyKind::*;
+        [Default, Aggreg, Reorder, Multirail, Dynamic, Lanes]
+            .into_iter()
+            .find(|k| k.name() == name)
     }
 
     /// Human-readable name.
@@ -50,6 +62,7 @@ impl StrategyKind {
             StrategyKind::Reorder => "reorder",
             StrategyKind::Multirail => "multirail",
             StrategyKind::Dynamic => "dynamic",
+            StrategyKind::Lanes => "lanes",
         }
     }
 }
@@ -144,22 +157,15 @@ pub fn pump_cluster(
     procs: &mut [MpiProc],
     mut done: impl FnMut(&mut [MpiProc]) -> bool,
 ) -> SimTime {
-    for _ in 0..10_000_000u64 {
-        let mut moved = false;
-        for proc in procs.iter_mut() {
-            moved |= proc.progress();
-        }
+    run_until(world, || {
+        let moved = procs.iter_mut().fold(false, |m, p| p.progress() | m);
         if done(procs) {
-            return world.lock().now();
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!(
-                "MPI co-simulation deadlock\n{}",
-                world.lock().pending_summary()
-            );
-        }
-    }
-    panic!("MPI co-simulation did not converge");
+    })
+    .unwrap_or_else(|e| panic!("MPI co-simulation: {e}"))
 }
 
 /// One rank of an MPI job over **real TCP sockets**: establishes the
@@ -241,6 +247,16 @@ pub fn mem_cluster(n: usize, kind: EngineKind) -> Vec<MpiProc> {
 mod tests {
     use super::*;
     use nmad_sim::nic;
+
+    #[test]
+    fn strategy_kind_parse_inverts_name() {
+        use StrategyKind::*;
+        for kind in [Default, Aggreg, Reorder, Multirail, Dynamic, Lanes] {
+            assert_eq!(StrategyKind::parse(kind.name()), Some(kind));
+            assert_eq!(kind.build().name(), kind.name());
+        }
+        assert_eq!(StrategyKind::parse("fifo"), None);
+    }
 
     #[test]
     fn sim_cluster_builds_each_kind() {

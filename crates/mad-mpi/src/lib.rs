@@ -16,8 +16,11 @@
 //!   engine, and MPICH-/OpenMPI-like direct-mapping comparators;
 //! * simple collectives (barrier, broadcast) built on point-to-point,
 //!   usable with every backend;
-//! * cluster builders + the co-simulation pump used by every
-//!   experiment harness.
+//! * cluster builders + [`pump_cluster`], which drives every rank
+//!   through [`nmad_sim::run_until`], the one co-simulation loop;
+//! * [`StrategyKind`] — the one mapping from a strategy's name to its
+//!   engine strategy ([`StrategyKind::parse`] / [`StrategyKind::build`]),
+//!   shared by `nmadctl`, the bench binaries and the tests.
 //!
 //! A two-rank job over the simulated Myri-10G cluster:
 //!

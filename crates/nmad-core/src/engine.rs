@@ -63,26 +63,9 @@ impl EngineCosts {
     }
 }
 
-/// How the engine is driven.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ProgressMode {
-    /// The application thread pumps [`NmadEngine::progress`] itself.
-    /// The only mode the simulated transports support: virtual time
-    /// advances through the co-simulation loop, so progression must
-    /// stay on the application thread to remain deterministic.
-    #[default]
-    Inline,
-    /// A dedicated progression thread owns the engine and pumps it;
-    /// application threads submit through a lock-free ring and poll a
-    /// sharded completion board (see [`crate::threaded`]). For the
-    /// mem/tcp/lossy transports, where communication should overlap
-    /// application computation.
-    Threaded,
-}
-
 /// How a sharded runtime assigns a flow to a progression shard.
 ///
-/// Both routing policies hash the **unordered node pair** of a flow,
+/// Routing hashes the **unordered node pair** of a flow plus its tag,
 /// never one endpoint alone: the two peers of a link then agree on the
 /// owning shard index, and because rails are partitioned identically
 /// on every node (shard `s` owns rails `{r : r % shards == s}`), a
@@ -90,13 +73,9 @@ pub enum ProgressMode {
 /// node's shard `s` — the owner of every flow it carries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// All traffic of a node pair rides one shard (and therefore one
-    /// rail group). Cheapest routing; parallelism comes from talking
-    /// to many peers.
-    PerRail,
     /// Flows of one node pair spread over shards by tag, so even a
     /// two-node workload with several logical flows exercises every
-    /// shard. The default.
+    /// shard.
     #[default]
     HashByDest,
 }
@@ -110,9 +89,7 @@ impl ShardPolicy {
         }
         let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
         let mut h = (u64::from(lo) << 32) | u64::from(hi);
-        if self == ShardPolicy::HashByDest {
-            h ^= u64::from(tag.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
+        h ^= u64::from(tag.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         // splitmix64 finalizer — deterministic, no global state.
         h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
         h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -141,66 +118,29 @@ impl ShardRoute {
     }
 }
 
-/// Engine driving configuration — progression mode plus the knobs of
-/// the threaded mode's submission rings, sharding and idle parking.
+/// Configuration of the threaded progression runtime
+/// ([`ThreadedEngine::launch`](crate::threaded::ThreadedEngine::launch)).
+/// The application thread drives an engine inline by calling
+/// [`NmadEngine::progress`] itself and needs no configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Driving mode. Inline by default.
-    pub mode: ProgressMode,
-    /// Capacity of the lock-free submission ring (threaded mode). A
-    /// full ring pushes back on submitters instead of growing.
-    pub submit_ring_capacity: usize,
-    /// Max operations the progression thread drains from the ring
-    /// between pumps, bounding submission-drain latency vs fairness.
-    pub submit_batch: usize,
-    /// How long the progression thread parks when the engine is idle
-    /// and the ring is empty before re-checking.
-    pub idle_park: std::time::Duration,
-    /// Progression shards (threaded mode). `1` is the single-engine
-    /// monolith; `n > 1` splits the engine into `n` shards, each with
-    /// its own submission ring, window slice and rail subset. Clamped
-    /// to the rail count at launch.
+    /// Progression shards. `1` is the single-engine monolith; `n > 1`
+    /// splits the engine into `n` shards, each with its own submission
+    /// ring, window slice and rail subset. Clamped to the rail count at
+    /// launch.
     pub shards: usize,
-    /// How flows map to shards when `shards > 1`.
-    pub shard_policy: ShardPolicy,
-    /// Work stealing: a shard whose window holds at least this many
-    /// segments is a donation candidate for idle shards.
-    pub steal_depth: usize,
-    /// Work stealing: at most this many eager segments move per steal.
-    pub steal_batch: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            mode: ProgressMode::Inline,
-            submit_ring_capacity: 1024,
-            submit_batch: 256,
-            idle_park: std::time::Duration::from_micros(200),
-            shards: 1,
-            shard_policy: ShardPolicy::default(),
-            steal_depth: 16,
-            steal_batch: 8,
-        }
-    }
 }
 
 impl EngineConfig {
-    /// The default configuration with the threaded mode selected.
+    /// One progression thread owning the whole engine.
     pub fn threaded() -> Self {
-        EngineConfig {
-            mode: ProgressMode::Threaded,
-            ..Self::default()
-        }
+        EngineConfig { shards: 1 }
     }
 
-    /// Threaded mode with `shards` progression shards.
+    /// `shards` progression shards.
     pub fn sharded(shards: usize) -> Self {
         assert!(shards > 0, "a sharded runtime needs at least one shard");
-        EngineConfig {
-            shards,
-            ..Self::threaded()
-        }
+        EngineConfig { shards }
     }
 }
 
@@ -1849,6 +1789,7 @@ mod tests {
     use crate::strategy::{StratAggreg, StratDefault};
     use nmad_net::sim::SimDriver;
     use nmad_sim::{nic, run_until, shared_world, SharedWorld, SimConfig};
+    use std::ops::ControlFlow;
 
     fn engine(world: &SharedWorld, node: u32, strategy: Box<dyn Strategy>) -> NmadEngine {
         let driver = SimDriver::new(world.clone(), NodeId(node), nmad_sim::RailId(0));
@@ -1867,23 +1808,21 @@ mod tests {
         b: &mut NmadEngine,
         mut done: impl FnMut(&mut NmadEngine, &mut NmadEngine) -> bool,
     ) {
-        // Engines and the goal predicate both need &mut; drive manually.
-        for _ in 0..100_000 {
-            let mut moved = a.progress();
-            moved |= b.progress();
+        run_until(world, || {
+            let moved = a.progress() | b.progress();
             if done(a, b) {
-                return;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(moved)
             }
-            if !moved && world.lock().advance().is_none() {
-                panic!(
-                    "deadlock: {} / a window {} / b window {}",
-                    world.lock().pending_summary(),
-                    a.window_depth(),
-                    b.window_depth()
-                );
-            }
-        }
-        panic!("pump_pair did not converge");
+        })
+        .unwrap_or_else(|e| {
+            panic!(
+                "{e} / a window {} / b window {}",
+                a.window_depth(),
+                b.window_depth()
+            )
+        });
     }
 
     #[test]
@@ -2182,31 +2121,6 @@ mod tests {
         assert_eq!(b.try_take_recv(rb).unwrap().data, b"a->b");
     }
 
-    #[test]
-    fn run_until_integrates_engines_as_closures() {
-        let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
-        let mut a = engine(&world, 0, Box::new(StratAggreg));
-        let mut b = engine(&world, 1, Box::new(StratAggreg));
-        let s = a.isend(NodeId(1), Tag(0), &b"via runner"[..]);
-        let r = b.post_recv(NodeId(0), Tag(0), 32);
-        let _ = s;
-        let done = std::cell::Cell::new(false);
-        {
-            let mut ea = || a.progress();
-            // The predicate needs `b`, so fold b's pump and the check
-            // into one closure.
-            let mut eb = || {
-                let moved = b.progress();
-                if b.is_recv_done(r) {
-                    done.set(true);
-                }
-                moved
-            };
-            run_until(&world, &mut [&mut ea, &mut eb], || done.get()).expect("no deadlock");
-        }
-        assert_eq!(b.try_take_recv(r).unwrap().data, b"via runner");
-    }
-
     /// Every counter in the snapshot, flattened for pairwise
     /// monotonicity comparisons.
     fn counter_vector(m: &crate::metrics::MetricsSnapshot) -> Vec<u64> {
@@ -2258,7 +2172,7 @@ mod tests {
         let recvs: Vec<_> = (0..6)
             .map(|t| b.post_recv(NodeId(0), Tag(t), 128))
             .collect();
-        for _ in 0..100_000 {
+        run_until(&world, || {
             let moved = a.progress() | b.progress();
             let cur = counter_vector(&a.metrics());
             for (i, (&p, &c)) in prev.iter().zip(&cur).enumerate() {
@@ -2267,12 +2181,12 @@ mod tests {
             prev = cur;
             if sends.iter().all(|&s| a.is_send_done(s)) && recvs.iter().all(|&r| b.is_recv_done(r))
             {
-                break;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(moved)
             }
-            if !moved && world.lock().advance().is_none() {
-                panic!("deadlock");
-            }
-        }
+        })
+        .expect("no deadlock");
         let m = a.metrics();
         assert_eq!(m.engine.requests_submitted, 6);
         assert_eq!(m.engine.eager_entries, 6);
@@ -2456,7 +2370,8 @@ mod credit_tests {
     use super::*;
     use crate::strategy::{StratAggreg, StratDefault};
     use nmad_net::sim::SimDriver;
-    use nmad_sim::{nic, shared_world, SharedWorld, SimConfig};
+    use nmad_sim::{nic, run_until, shared_world, SharedWorld, SimConfig};
+    use std::ops::ControlFlow;
 
     fn engine_with(
         world: &SharedWorld,
@@ -2481,16 +2396,15 @@ mod credit_tests {
         b: &mut NmadEngine,
         mut done: impl FnMut(&mut NmadEngine, &mut NmadEngine) -> bool,
     ) {
-        for _ in 0..1_000_000 {
+        run_until(world, || {
             let moved = a.progress() | b.progress();
             if done(a, b) {
-                return;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(moved)
             }
-            if !moved && world.lock().advance().is_none() {
-                panic!("deadlock:\n{}", world.lock().pending_summary());
-            }
-        }
-        panic!("no convergence");
+        })
+        .expect("no deadlock");
     }
 
     #[test]

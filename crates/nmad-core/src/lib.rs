@@ -26,6 +26,7 @@
 //! use nmad_core::prelude::*;
 //! use nmad_net::sim::SimDriver;
 //! use nmad_sim::{nic, run_until, shared_world, NodeId, RailId, SimConfig};
+//! use std::ops::ControlFlow;
 //!
 //! let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
 //! let mk = |n: u32| {
@@ -37,12 +38,13 @@
 //! let s = a.isend(NodeId(1), Tag(1), &b"hello"[..]);
 //! let r = b.post_recv(NodeId(0), Tag(1), 64);
 //! # let _ = s;
-//! let done = std::cell::Cell::new(false);
-//! {
-//!     let mut ea = || a.progress();
-//!     let mut eb = || { let m = b.progress(); if b.is_recv_done(r) { done.set(true); } m };
-//!     run_until(&world, &mut [&mut ea, &mut eb], || done.get()).unwrap();
-//! }
+//! // One step pumps both engines, then checks the goal; the runner
+//! // advances virtual time whenever a step moved nothing.
+//! run_until(&world, || {
+//!     let moved = a.progress() | b.progress();
+//!     if b.is_recv_done(r) { ControlFlow::Break(()) } else { ControlFlow::Continue(moved) }
+//! })
+//! .unwrap();
 //! assert_eq!(b.try_take_recv(r).unwrap().data, b"hello");
 //! ```
 
@@ -64,8 +66,7 @@ pub mod wire;
 
 pub use api::{RecvHandle, RecvMessage, SendMessage};
 pub use engine::{
-    EngineConfig, EngineCosts, EngineDiagnostics, EngineStats, NmadEngine, ProgressMode,
-    ShardPolicy, ShardRoute,
+    EngineConfig, EngineCosts, EngineDiagnostics, EngineStats, NmadEngine, ShardPolicy, ShardRoute,
 };
 pub use matching::{Effect, Matching, RecvDone};
 pub use metrics::{
@@ -85,7 +86,7 @@ pub use window::{CtrlMsg, RdvChunk, RdvJob, Window};
 /// Everything a typical application needs.
 pub mod prelude {
     pub use crate::api::RecvHandle;
-    pub use crate::engine::{EngineConfig, EngineCosts, NmadEngine, ProgressMode};
+    pub use crate::engine::{EngineConfig, EngineCosts, NmadEngine};
     pub use crate::segment::{Priority, RecvReqId, SendReqId, Tag};
     pub use crate::strategy::{
         StratAggreg, StratDefault, StratDynamic, StratLanes, StratMultirail, StratReorder, Strategy,

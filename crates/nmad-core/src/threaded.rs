@@ -31,26 +31,26 @@
 //! submission ring, optimization-window slice, rail subset (rail `r`
 //! belongs to shard `r % N`) and progression thread. Flows map to
 //! shards by [`ShardPolicy`] — a symmetric hash over the node pair
-//! (plus the tag under [`ShardPolicy::HashByDest`]), identical on both
-//! endpoints, so a frame sent on shard `s`'s rails always lands on the
-//! receiving node's shard `s`. [`ThreadedHandle`] routes every
-//! submission to its owner shard's ring; the [`CompletionBoard`] keeps
-//! one global id-keyed bucket space, so waiting works unchanged.
+//! and the tag, identical on both endpoints, so a frame sent on shard
+//! `s`'s rails always lands on the receiving node's shard `s`.
+//! [`ThreadedHandle`] routes every submission to its owner shard's
+//! ring; the [`CompletionBoard`] keeps one global id-keyed bucket
+//! space, so waiting works unchanged.
 //!
 //! An idle shard's NICs are kept busy through the steal facade
-//! ([`crate::steal`]): a shard whose window backlog exceeds
-//! [`EngineConfig::steal_depth`] donates small eager segments to an
-//! idle shard, which transmits them as standalone spool frames on its
-//! own rails; the receiving node's same-index shard forwards such
-//! foreign frames to the flow's owner shard, and transmit completions
-//! travel back to the victim. See `DESIGN.md` §14 for the protocol and
-//! its memory-ordering obligations.
+//! ([`crate::steal`]): a shard whose window backlog reaches
+//! `STEAL_DEPTH` donates small eager segments to an idle shard, which
+//! transmits them as standalone spool frames on its own rails; the
+//! receiving node's same-index shard forwards such foreign frames to
+//! the flow's owner shard, and transmit completions travel back to the
+//! victim. See `DESIGN.md` §14 for the protocol and its memory-ordering
+//! obligations.
 //!
-//! The simulated transports stay on the inline path
-//! ([`ProgressMode::Inline`]): virtual time only advances through the
-//! co-simulation loop on the application thread, and a background pump
-//! would desynchronise the discrete-event world. Drivers veto the
-//! threaded mode through
+//! The simulated transports stay on the inline path (the application
+//! thread calls [`NmadEngine::progress`]): virtual time only advances
+//! through the co-simulation loop on the application thread, and a
+//! background pump would desynchronise the discrete-event world.
+//! Drivers veto the threaded mode through
 //! [`Driver::threaded_progress_safe`](nmad_net::Driver::threaded_progress_safe).
 
 use std::sync::Arc;
@@ -62,7 +62,7 @@ use nmad_sim::{FxHashMap, FxHashSet, NodeId};
 
 use crate::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 
-use crate::engine::{EngineConfig, NmadEngine, ProgressMode, ShardPolicy};
+use crate::engine::{EngineConfig, NmadEngine, ShardPolicy};
 use crate::matching::RecvDone;
 use crate::metrics::{EngineMetrics, MetricsSnapshot, NicMetrics, SharedMetrics};
 use crate::ring::{Batch, SubmitRing};
@@ -264,6 +264,10 @@ enum StealMsg {
     Done(SendReqId),
 }
 
+/// Capacity of each shard's submission ring. A full ring pushes back
+/// on submitters instead of growing.
+const SUBMIT_RING_CAPACITY: usize = 1024;
+
 /// Per-shard half of the shared state: one submission ring and one hot
 /// mirror per progression thread, so shards never contend on the
 /// submit or publish path.
@@ -278,8 +282,6 @@ struct ShardShared {
 /// shards.
 struct Shared {
     shards: Vec<ShardShared>,
-    /// Flow → shard routing, identical to the split the engine did.
-    policy: ShardPolicy,
     node: NodeId,
     /// One global id-keyed board: waiters don't care which shard
     /// completed their request.
@@ -302,7 +304,8 @@ struct Shared {
 
 impl Shared {
     fn route(&self, peer: NodeId, tag: Tag) -> usize {
-        self.policy.route(self.shards.len(), self.node, peer, tag)
+        // Identical to the split the engine did at launch.
+        ShardPolicy::HashByDest.route(self.shards.len(), self.node, peer, tag)
     }
 }
 
@@ -332,15 +335,10 @@ impl ThreadedEngine {
     /// shard the runtime degenerates to the original single-thread
     /// layout, byte for byte.
     ///
-    /// Panics if `config.mode` is not [`ProgressMode::Threaded`] or if
-    /// any of the engine's drivers vetoes background progression (the
-    /// simulated transport does — see the module documentation).
+    /// Panics if any of the engine's drivers vetoes background
+    /// progression (the simulated transport does — see the module
+    /// documentation).
     pub fn launch(engine: NmadEngine, config: EngineConfig) -> Self {
-        assert_eq!(
-            config.mode,
-            ProgressMode::Threaded,
-            "ThreadedEngine requires EngineConfig::threaded()"
-        );
         assert!(
             engine.threaded_progress_safe(),
             "a driver on node {} refuses background progression \
@@ -351,18 +349,17 @@ impl ThreadedEngine {
         let shards = config.shards.max(1).min(engine.rail_count().max(1));
         let watermark = engine.req_watermark();
         let engines = if shards > 1 {
-            engine.split_for_shards(shards, config.shard_policy)
+            engine.split_for_shards(shards, ShardPolicy::HashByDest)
         } else {
             vec![engine]
         };
         let shared = Arc::new(Shared {
             shards: (0..shards)
                 .map(|_| ShardShared {
-                    ring: SubmitRing::new(config.submit_ring_capacity),
+                    ring: SubmitRing::new(SUBMIT_RING_CAPACITY),
                     hot: SharedMetrics::new(),
                 })
                 .collect(),
-            policy: config.shard_policy,
             node,
             board: CompletionBoard::new(shards),
             next_req: AtomicU64::new(watermark),
@@ -380,7 +377,7 @@ impl ThreadedEngine {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("nmad-progress-{}-s{shard}", node.0))
-                    .spawn(move || run(eng, &shared, &config, shard))
+                    .spawn(move || run(eng, &shared, shard))
                     .expect("spawn progression thread")
             })
             .collect();
@@ -968,17 +965,24 @@ fn forward_cross_shard(engine: &mut NmadEngine, shared: &Shared, shard: usize) -
     moved
 }
 
+/// Work stealing: a shard whose window holds at least this many
+/// segments is a donation candidate for idle shards.
+const STEAL_DEPTH: usize = 16;
+
+/// Work stealing: at most this many eager segments move per steal.
+const STEAL_BATCH: usize = 8;
+
 /// The victim half of the steal decision: if this shard's donation
 /// backlog is deep and some other shard advertises idle, donate a
 /// batch of small eager segments to it.
-fn maybe_donate(engine: &mut NmadEngine, shared: &Shared, shard: usize, config: &EngineConfig) {
-    if engine.donation_backlog() < config.steal_depth {
+fn maybe_donate(engine: &mut NmadEngine, shared: &Shared, shard: usize) {
+    if engine.donation_backlog() < STEAL_DEPTH {
         return;
     }
     let Some(thief) = shared.steal.pick_thief(shard) else {
         return;
     };
-    let wrappers = engine.donate_eager(config.steal_batch);
+    let wrappers = engine.donate_eager(STEAL_BATCH);
     if wrappers.is_empty() {
         return;
     }
@@ -1005,13 +1009,21 @@ fn maybe_donate(engine: &mut NmadEngine, shared: &Shared, shard: usize, config: 
     }
 }
 
+/// Max operations a progression thread drains from its ring between
+/// pumps, bounding submission-drain latency vs fairness.
+const SUBMIT_BATCH: usize = 256;
+
+/// How long a progression thread parks when its engine is idle and its
+/// ring is empty before re-checking.
+const IDLE_PARK: Duration = Duration::from_micros(200);
+
 /// A progression shard's thread body: drain the steal mailbox and the
 /// submission ring, pump the engine, forward cross-shard work, harvest
 /// completions, publish metrics, park when idle. A single-shard runtime
 /// has no peer to steal from or forward to, so it skips every
 /// cross-shard step.
 // HOT-PATH: shard pump loop
-fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: usize) -> NmadEngine {
+fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
     let sharded = shared.shards.len() > 1;
     let mut shutting_down = false;
     let my = &shared.shards[shard]; // PANIC-OK: shard < shards.len() by the spawn loop
@@ -1025,7 +1037,7 @@ fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: us
         // over a whole slot of up to SLOT_OPS operations, so the
         // per-slot synchronization cost is amortized across the run.
         let mut drained = 0usize;
-        while drained < config.submit_batch {
+        while drained < SUBMIT_BATCH {
             let Some(batch) = my.ring.pop() else {
                 break;
             };
@@ -1074,7 +1086,7 @@ fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: us
                 .steal
                 .advertise_idle(shard, engine.tx_quiescent() && !shutting_down);
             if !shutting_down {
-                maybe_donate(&mut engine, shared, shard, config);
+                maybe_donate(&mut engine, shared, shard);
             }
         }
 
@@ -1104,12 +1116,12 @@ fn run(mut engine: NmadEngine, shared: &Shared, config: &EngineConfig, shard: us
 
         // 6. Pace: spin while work is outstanding, park on the ring
         // otherwise. (Steal messages don't ring the doorbell; a parked
-        // shard sees them after at most one idle_park.)
+        // shard sees them after at most one IDLE_PARK.)
         if !moved && !harvested && !steal_moved && !forwarded && drained == 0 {
             if engine.has_outstanding() || shutting_down {
                 std::thread::yield_now();
             } else {
-                my.ring.wait_nonempty(config.idle_park);
+                my.ring.wait_nonempty(IDLE_PARK);
             }
         }
     }

@@ -20,7 +20,9 @@
 //! * [`topo`] — node/rail identifiers, cluster configuration;
 //! * [`world`] — the event-driven cluster (`post_send` / `poll_recv` /
 //!   `charge_cpu` / `advance`) and its lock-free readiness mirror;
-//! * [`runner`] — co-simulation loop pumping engines and advancing time;
+//! * [`runner`] — [`run_until`], the one co-simulation loop: a caller's
+//!   step pumps its engines and checks its goal, the runner advances
+//!   time whenever a step moved nothing;
 //! * [`trace`] — optional event log for tests and debugging;
 //! * [`timeline`] — human-readable rendering of traces.
 

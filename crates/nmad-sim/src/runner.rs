@@ -3,11 +3,14 @@
 //! Engines built on the simulator are ordinary polled state machines:
 //! each exposes a `progress() -> bool` step that returns whether it made
 //! any progress (posted a send, consumed a packet, completed a request).
-//! The runner alternates between (a) pumping every engine until all are
-//! quiescent and (b) advancing virtual time to the next event. This is
-//! the same structure as the paper's engine, where request processing is
+//! [`run_until`] alternates between (a) a caller-supplied step that
+//! pumps every engine once and checks the goal and (b) advancing virtual
+//! time to the next event whenever a step moved nothing. This is the
+//! same structure as the paper's engine, where request processing is
 //! tied to NIC activity rather than the application workflow (§3.1).
+//! Every co-simulation in the workspace goes through this one loop.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -29,8 +32,10 @@ pub fn shared_world(config: SimConfig) -> SharedWorld {
     Arc::new(Mutex::new(SimWorld::new(config)))
 }
 
-/// Error returned when the simulation can no longer move: every engine
-/// is quiescent, the goal predicate is false, and no event is pending.
+/// Error returned when the simulation can no longer move: the last
+/// step moved nothing, its goal does not hold, and no event is pending
+/// — or the steps kept reporting progress past the livelock cap
+/// without reaching the goal.
 #[derive(Debug)]
 pub struct Deadlock {
     /// Human-readable description of the stuck state.
@@ -45,54 +50,54 @@ impl std::fmt::Display for Deadlock {
 
 impl std::error::Error for Deadlock {}
 
-/// Safety valve: an engine claiming progress this many consecutive
-/// rounds without the goal being reached is livelocked (a bug).
+/// Safety valve: a run whose steps report progress this many times in
+/// total, counted over the whole run rather than consecutively, without
+/// reaching the goal is livelocked (a bug). The cap sits far above the
+/// longest run in the workspace, the full `tail` sweep.
 const LIVELOCK_ROUNDS: usize = 1_000_000;
 
-/// Runs `engines` against `world` until `done` returns true.
+/// Runs the co-simulation on `world` until `step` reports its goal.
+///
+/// Each call of `step` pumps whatever the caller drives once, then
+/// returns `Break(())` if its goal holds, or `Continue(moved)` with
+/// whether anything made progress. A step that moved nothing is
+/// followed by advancing virtual time to the next event; a step that
+/// moved is retried at the same instant, since progress by one engine
+/// (e.g. a delivered packet) usually enables another.
 ///
 /// Returns the virtual time at which the goal was observed. A
 /// [`Deadlock`] carries a dump of outstanding simulator state.
 pub fn run_until(
     world: &SharedWorld,
-    engines: &mut [&mut dyn FnMut() -> bool],
-    mut done: impl FnMut() -> bool,
+    mut step: impl FnMut() -> ControlFlow<(), bool>,
 ) -> Result<SimTime, Deadlock> {
-    let mut rounds = 0usize;
+    let mut moving_rounds = 0usize;
     loop {
-        // Pump all engines to quiescence at the current instant.
-        loop {
-            let mut any = false;
-            for engine in engines.iter_mut() {
-                // Every engine runs every round: progress by one engine
-                // (e.g. a delivered packet) usually enables another.
-                any |= engine();
+        match step() {
+            ControlFlow::Break(()) => return Ok(world.lock().now()),
+            ControlFlow::Continue(true) => {
+                moving_rounds += 1;
+                if moving_rounds > LIVELOCK_ROUNDS {
+                    return Err(Deadlock {
+                        detail: format!(
+                            "steps moved {LIVELOCK_ROUNDS} times without reaching the goal\n{}",
+                            world.lock().pending_summary()
+                        ),
+                    });
+                }
             }
-            if done() {
-                return Ok(world.lock().now());
+            // Nothing moves at this instant: move the clock.
+            ControlFlow::Continue(false) => {
+                let advanced = world.lock().advance();
+                if advanced.is_none() {
+                    return Err(Deadlock {
+                        detail: format!(
+                            "no pending events and goal not reached\n{}",
+                            world.lock().pending_summary()
+                        ),
+                    });
+                }
             }
-            if !any {
-                break;
-            }
-            rounds += 1;
-            if rounds > LIVELOCK_ROUNDS {
-                return Err(Deadlock {
-                    detail: format!(
-                        "engines spun {LIVELOCK_ROUNDS} rounds without reaching the goal\n{}",
-                        world.lock().pending_summary()
-                    ),
-                });
-            }
-        }
-        // Everyone is stuck at this instant: move the clock.
-        let advanced = world.lock().advance();
-        if advanced.is_none() {
-            return Err(Deadlock {
-                detail: format!(
-                    "no pending events and goal not reached\n{}",
-                    world.lock().pending_summary()
-                ),
-            });
         }
     }
 }
@@ -112,21 +117,15 @@ mod tests {
         let world = shared_world(SimConfig::two_nodes(nic::quadrics_qm500()));
         world.lock().post_send(N0, R0, N1, b"ping".to_vec());
 
-        let got = std::cell::Cell::new(false);
         let w2 = world.clone();
-        let mut rx = || {
-            if got.get() {
-                return false;
-            }
-            if let Some(p) = w2.lock().poll_recv(N1, R0) {
+        let t = run_until(&world, || match w2.lock().poll_recv(N1, R0) {
+            Some(p) => {
                 assert_eq!(p.payload, b"ping");
-                got.set(true);
-                true
-            } else {
-                false
+                ControlFlow::Break(())
             }
-        };
-        let t = run_until(&world, &mut [&mut rx], || got.get()).expect("no deadlock");
+            None => ControlFlow::Continue(false),
+        })
+        .expect("no deadlock");
         assert!(t > SimTime::ZERO);
     }
 
@@ -135,9 +134,27 @@ mod tests {
         let world = shared_world(SimConfig::two_nodes(nic::quadrics_qm500()));
         // Nothing ever sent: waiting for a receive must deadlock.
         let w2 = world.clone();
-        let mut rx = || w2.lock().poll_recv(N1, R0).is_some();
-        let err = run_until(&world, &mut [&mut rx], || false).unwrap_err();
+        let err = run_until(&world, || {
+            ControlFlow::Continue(w2.lock().poll_recv(N1, R0).is_some())
+        })
+        .unwrap_err();
         assert!(err.to_string().contains("deadlock"));
+    }
+
+    #[test]
+    fn a_step_that_always_moves_ends_in_an_error() {
+        let world = shared_world(SimConfig::two_nodes(nic::quadrics_qm500()));
+        let mut steps = 0usize;
+        let err = run_until(&world, || {
+            steps += 1;
+            ControlFlow::Continue(true)
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("without reaching the goal"));
+        // The cap counts moving steps over the whole run, and a moving
+        // step never advances the clock.
+        assert_eq!(steps, LIVELOCK_ROUNDS + 1);
+        assert_eq!(world.lock().now(), SimTime::ZERO);
     }
 
     #[test]
@@ -146,31 +163,26 @@ mod tests {
         let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
         world.lock().post_send(N0, R0, N1, vec![9u8; 64]);
 
-        let done = std::cell::Cell::new(false);
-        let we = world.clone();
-        let mut echo = || {
+        let w = world.clone();
+        let t = run_until(&world, || {
             // NB: bind the poll result before re-locking — an `if let`
             // scrutinee would hold the guard across the second lock
             // (edition-2021 temporary scope) and self-deadlock.
-            let delivered = we.lock().poll_recv(N1, R0);
+            let delivered = w.lock().poll_recv(N1, R0);
+            let echoed = delivered.is_some();
             if let Some(p) = delivered {
-                we.lock().post_send(N1, R0, N0, p.payload);
-                true
-            } else {
-                false
+                w.lock().post_send(N1, R0, N0, p.payload);
             }
-        };
-        let wr = world.clone();
-        let mut reply = || {
-            if let Some(p) = wr.lock().poll_recv(N0, R0) {
-                assert_eq!(p.payload.len(), 64);
-                done.set(true);
-                true
-            } else {
-                false
+            let reply = w.lock().poll_recv(N0, R0);
+            match reply {
+                Some(p) => {
+                    assert_eq!(p.payload.len(), 64);
+                    ControlFlow::Break(())
+                }
+                None => ControlFlow::Continue(echoed),
             }
-        };
-        let t = run_until(&world, &mut [&mut echo, &mut reply], || done.get()).unwrap();
+        })
+        .unwrap();
         // Round trip ≥ 2 one-way times.
         let one_way = nic::mx_myri10g().one_way_time(64);
         assert!(t.saturating_since(SimTime::ZERO) >= one_way + one_way);

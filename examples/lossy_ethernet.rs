@@ -11,7 +11,10 @@
 use newmadeleine::core::prelude::*;
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::{Driver, LossyDriver, ReliableDriver, SimCpuMeter};
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
+use newmadeleine::sim::{
+    nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime,
+};
+use std::ops::ControlFlow;
 
 const LOSS: f64 = 0.20;
 const RTO_NS: u64 = 8_000_000; // > worst-case RTT incl. 200 KB serialization
@@ -57,15 +60,15 @@ fn main() {
     let pump = |a: &mut NmadEngine,
                 b: &mut NmadEngine,
                 done: &mut dyn FnMut(&NmadEngine, &NmadEngine) -> bool| {
-        loop {
+        run_until(&world, || {
             let moved = a.progress() | b.progress();
             if done(a, b) {
-                break;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(moved)
             }
-            if !moved && world.lock().advance().is_none() {
-                panic!("deadlock");
-            }
-        }
+        })
+        .expect("no deadlock");
     };
 
     // An aggregated burst of small messages.

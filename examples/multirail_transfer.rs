@@ -12,6 +12,7 @@ use newmadeleine::core::prelude::*;
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::SimCpuMeter;
 use newmadeleine::sim::{nic, run_until, shared_world, NodeId, SimConfig};
+use std::ops::ControlFlow;
 
 const SIZE: usize = 4 << 20;
 
@@ -39,18 +40,15 @@ fn main() {
     let send_req = sender.isend(NodeId(1), Tag(0), body.clone());
     let recv_req = receiver.post_recv(NodeId(0), Tag(0), SIZE);
 
-    let done = std::cell::Cell::new(false);
-    {
-        let mut pump_s = || sender.progress();
-        let mut pump_r = || {
-            let moved = receiver.progress();
-            if receiver.is_recv_done(recv_req) {
-                done.set(true);
-            }
-            moved
-        };
-        run_until(&world, &mut [&mut pump_s, &mut pump_r], || done.get()).expect("no deadlock");
-    }
+    run_until(&world, || {
+        let moved = sender.progress() | receiver.progress();
+        if receiver.is_recv_done(recv_req) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
+        }
+    })
+    .expect("no deadlock");
     assert!(sender.is_send_done(send_req));
     assert_eq!(receiver.try_take_recv(recv_req).expect("done").data, body);
 

@@ -8,6 +8,7 @@
 use newmadeleine::core::prelude::*;
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::sim::{nic, run_until, shared_world, NodeId, RailId, SimConfig};
+use std::ops::ControlFlow;
 
 fn main() {
     // A two-node cluster wired with simulated Myri-10G NICs.
@@ -41,22 +42,18 @@ fn main() {
         .unpack(32)
         .finish();
 
-    // Drive both engines under the co-simulation loop until delivery.
-    let done = std::cell::Cell::new(false);
-    {
-        let mut pump_sender = || sender.progress();
-        let mut pump_receiver = || {
-            let moved = receiver.progress();
-            if handle.is_done(&receiver) {
-                done.set(true);
-            }
-            moved
-        };
-        run_until(&world, &mut [&mut pump_sender, &mut pump_receiver], || {
-            done.get()
-        })
-        .expect("no deadlock");
-    }
+    // Drive both engines under the co-simulation loop until delivery:
+    // each step pumps both once and checks the goal; the runner advances
+    // virtual time whenever a step moved nothing.
+    run_until(&world, || {
+        let moved = sender.progress() | receiver.progress();
+        if handle.is_done(&receiver) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
+        }
+    })
+    .expect("no deadlock");
 
     let pieces = handle.take_all(&mut receiver);
     let text: String = pieces

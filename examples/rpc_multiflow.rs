@@ -17,6 +17,7 @@
 use newmadeleine::core::prelude::*;
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::sim::{nic, run_until, shared_world, NodeId, RailId, SimConfig};
+use std::ops::ControlFlow;
 
 const N_RPCS: u32 = 6;
 const PAYLOAD: usize = 200 * 1024; // above the MX rendezvous threshold
@@ -61,21 +62,15 @@ fn main() {
         })
         .collect();
 
-    let done = std::cell::Cell::new(false);
-    {
-        let mut pump_client = || client.progress();
-        let mut pump_server = || {
-            let moved = server.progress();
-            if handles.iter().all(|h| h.is_done(&server)) {
-                done.set(true);
-            }
-            moved
-        };
-        run_until(&world, &mut [&mut pump_client, &mut pump_server], || {
-            done.get()
-        })
-        .expect("no deadlock");
-    }
+    run_until(&world, || {
+        let moved = client.progress() | server.progress();
+        if handles.iter().all(|h| h.is_done(&server)) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
+        }
+    })
+    .expect("no deadlock");
 
     for (rpc, handle) in handles.iter().enumerate() {
         let pieces = handle.take_all(&mut server);

@@ -18,7 +18,8 @@
 use newmadeleine::core::prelude::*;
 use newmadeleine::core::{DynamicStats, Tactic};
 use newmadeleine::net::sim::SimDriver;
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SimConfig};
+use newmadeleine::sim::{nic, run_until, shared_world, NodeId, RailId, SimConfig};
+use std::ops::ControlFlow;
 
 const FLUSH_BLOCKS: u32 = 24;
 const BLOCK: usize = 512;
@@ -36,15 +37,15 @@ fn main() {
     let pump = |client: &mut NmadEngine,
                 server: &mut NmadEngine,
                 done: &mut dyn FnMut(&NmadEngine, &NmadEngine) -> bool| {
-        loop {
+        run_until(&world, || {
             let moved = client.progress() | server.progress();
             if done(client, server) {
-                break;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(moved)
             }
-            if !moved && world.lock().advance().is_none() {
-                panic!("deadlock");
-            }
-        }
+        })
+        .expect("no deadlock");
     };
 
     // Phase 1: interactive metadata lookups (lone request/response).

@@ -17,8 +17,12 @@ use bench::{pingpong_contig, pingpong_multiseg, pingpong_typed};
 use newmadeleine::core::prelude::*;
 use newmadeleine::mpi::{Datatype, EngineKind, StrategyKind};
 use newmadeleine::net::sim::SimDriver;
-use newmadeleine::sim::{nic, shared_world, timeline, NicModel, NodeId, RailId, SimConfig};
+use newmadeleine::sim::{
+    nic, run_until, shared_world, timeline, Deadlock, NicModel, NodeId, RailId, SharedWorld,
+    SimConfig, SimTime,
+};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -41,7 +45,7 @@ commands:
 names:
   --nic      mx | quadrics | gm | sisci | tcpmodel
   --impl     madmpi (default) | mpich | openmpi
-  --strategy aggreg (default) | default | reorder | multirail | dynamic
+  --strategy aggreg (default) | default | reorder | multirail | dynamic | lanes
 sizes accept suffixes: 4K, 2M"
     );
     std::process::exit(2)
@@ -64,17 +68,6 @@ fn parse_nic(name: &str) -> Option<NicModel> {
         "gm" => nic::gm_myrinet2000(),
         "sisci" => nic::sisci_sci(),
         "tcpmodel" => nic::tcp_gige(),
-        _ => return None,
-    })
-}
-
-fn parse_strategy(name: &str) -> Option<StrategyKind> {
-    Some(match name {
-        "default" => StrategyKind::Default,
-        "aggreg" => StrategyKind::Aggreg,
-        "reorder" => StrategyKind::Reorder,
-        "multirail" => StrategyKind::Multirail,
-        "dynamic" => StrategyKind::Dynamic,
         _ => return None,
     })
 }
@@ -124,11 +117,14 @@ impl Flags {
             .unwrap_or_else(nic::mx_myri10g)
     }
 
+    fn strategy(&self) -> StrategyKind {
+        self.get("strategy")
+            .map(|v| StrategyKind::parse(v).unwrap_or_else(|| usage()))
+            .unwrap_or(StrategyKind::Aggreg)
+    }
+
     fn kind(&self) -> EngineKind {
-        let strategy = self
-            .get("strategy")
-            .map(|v| parse_strategy(v).unwrap_or_else(|| usage()))
-            .unwrap_or(StrategyKind::Aggreg);
+        let strategy = self.strategy();
         self.get("impl")
             .map(|v| parse_impl(v, strategy).unwrap_or_else(|| usage()))
             .unwrap_or(EngineKind::MadMpi(strategy))
@@ -199,10 +195,7 @@ fn cmd_datatype(flags: &Flags) {
 
 fn cmd_trace(flags: &Flags) {
     let size = flags.size("size", 1024);
-    let strategy = flags
-        .get("strategy")
-        .map(|v| parse_strategy(v).unwrap_or_else(|| usage()))
-        .unwrap_or(StrategyKind::Aggreg);
+    let strategy = flags.strategy();
     let world = shared_world(SimConfig::two_nodes(flags.nic()));
     world.lock().enable_trace();
     let mk = |node: u32| {
@@ -211,7 +204,7 @@ fn cmd_trace(flags: &Flags) {
         NmadEngine::new(
             vec![Box::new(driver)],
             meter,
-            strategy_box(strategy),
+            strategy.build(),
             EngineCosts::zero(),
         )
     };
@@ -219,15 +212,9 @@ fn cmd_trace(flags: &Flags) {
     let mut b = mk(1);
     let s = a.isend(NodeId(1), Tag(0), vec![0x42u8; size]);
     let r = b.post_recv(NodeId(0), Tag(0), size);
-    loop {
-        let moved = a.progress() | b.progress();
-        if a.is_send_done(s) && b.is_recv_done(r) {
-            break;
-        }
-        if !moved && world.lock().advance().is_none() {
-            eprintln!("deadlock");
-            return;
-        }
+    if let Err(e) = run_pair(&world, &mut a, &mut b, s, r) {
+        eprintln!("{e}");
+        return;
     }
     let trace = world.lock().take_trace();
     println!("--- events ---");
@@ -241,7 +228,6 @@ fn cmd_trace(flags: &Flags) {
 
 fn cmd_lossy(flags: &Flags) {
     use newmadeleine::net::{Driver, LossyDriver, ReliableDriver, SelectiveDriver, SimCpuMeter};
-    use newmadeleine::sim::SimTime;
     let size = flags.size("size", 4096);
     let seed = flags.num("seed", 7) as u64;
     let loss = flags.num("loss", 10) as f64 / 100.0;
@@ -272,15 +258,9 @@ fn cmd_lossy(flags: &Flags) {
     let mut b = mk(1, seed ^ 0xABCD);
     let s = a.isend(NodeId(1), Tag(0), vec![0x77u8; size]);
     let r = b.post_recv(NodeId(0), Tag(0), size);
-    loop {
-        let moved = a.progress() | b.progress();
-        if a.is_send_done(s) && b.is_recv_done(r) {
-            break;
-        }
-        if !moved && world.lock().advance().is_none() {
-            eprintln!("deadlock");
-            return;
-        }
+    if let Err(e) = run_pair(&world, &mut a, &mut b, s, r) {
+        eprintln!("{e}");
+        return;
     }
     let done = b.try_take_recv(r).expect("completed");
     assert_eq!(done.data.len(), size);
@@ -302,14 +282,23 @@ fn cmd_lossy(flags: &Flags) {
     );
 }
 
-fn strategy_box(kind: StrategyKind) -> Box<dyn Strategy> {
-    match kind {
-        StrategyKind::Default => Box::new(StratDefault),
-        StrategyKind::Aggreg => Box::new(StratAggreg),
-        StrategyKind::Reorder => Box::new(StratReorder),
-        StrategyKind::Multirail => Box::new(StratMultirail::default()),
-        StrategyKind::Dynamic => Box::new(StratDynamic::new()),
-    }
+/// Co-simulates `a` and `b` until `a`'s send `s` and `b`'s receive `r`
+/// complete.
+fn run_pair(
+    world: &SharedWorld,
+    a: &mut NmadEngine,
+    b: &mut NmadEngine,
+    s: SendReqId,
+    r: RecvReqId,
+) -> Result<SimTime, Deadlock> {
+    run_until(world, || {
+        let moved = a.progress() | b.progress();
+        if a.is_send_done(s) && b.is_recv_done(r) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
+        }
+    })
 }
 
 fn main() -> ExitCode {

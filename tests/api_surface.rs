@@ -7,8 +7,10 @@ use newmadeleine::mpi::{pump_cluster, sim_cluster, EngineKind, StrategyKind};
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::{Driver, SimCpuMeter, TcpDriver};
 use newmadeleine::sim::{
-    nic, shared_world, timeline, NodeId, RailId, SharedWorld, SimConfig, SimDuration, SimTime,
+    nic, run_until, shared_world, timeline, NodeId, RailId, SharedWorld, SimConfig, SimDuration,
+    SimTime,
 };
+use std::ops::ControlFlow;
 
 fn multirail_engine(world: &SharedWorld, node: u32) -> NmadEngine {
     let drivers: Vec<Box<dyn Driver>> = SimDriver::all_rails(world, NodeId(node))
@@ -30,16 +32,15 @@ fn pump(
     b: &mut NmadEngine,
     mut done: impl FnMut(&mut NmadEngine, &mut NmadEngine) -> bool,
 ) {
-    for _ in 0..1_000_000 {
+    run_until(world, || {
         let moved = a.progress() | b.progress();
         if done(a, b) {
-            return;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
-    }
-    panic!("no convergence");
+    })
+    .expect("no deadlock");
 }
 
 #[test]

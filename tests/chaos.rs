@@ -15,7 +15,10 @@ use newmadeleine::core::prelude::*;
 use newmadeleine::mpi::{pump_cluster, sim_cluster_multirail, EngineKind, StrategyKind};
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::{DetRng, Driver, FaultPlan, ReliableDriver, SimCpuMeter};
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
+use newmadeleine::sim::{
+    nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime,
+};
+use std::ops::ControlFlow;
 
 const RTO_NS: u64 = 200_000; // 200 us
 
@@ -112,16 +115,15 @@ fn pump(
     b: &mut NmadEngine,
     mut done: impl FnMut(&mut NmadEngine, &mut NmadEngine) -> bool,
 ) {
-    for _ in 0..5_000_000u64 {
+    run_until(world, || {
         let moved = a.progress() | b.progress();
         if done(a, b) {
-            return;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
-    }
-    panic!("no convergence");
+    })
+    .expect("no deadlock");
 }
 
 /// A bidirectional workload (eager bursts + one rendezvous each way)

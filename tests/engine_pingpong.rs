@@ -2,9 +2,13 @@
 //! preset, plus determinism of the co-simulation.
 
 use newmadeleine::core::prelude::*;
+use newmadeleine::mpi::StrategyKind;
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::Driver;
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
+use newmadeleine::sim::{
+    nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime,
+};
+use std::ops::ControlFlow;
 
 fn engine(world: &SharedWorld, node: u32, strategy: StrategyKind) -> NmadEngine {
     let driver = SimDriver::new(world.clone(), NodeId(node), RailId(0));
@@ -12,26 +16,9 @@ fn engine(world: &SharedWorld, node: u32, strategy: StrategyKind) -> NmadEngine 
     NmadEngine::new(
         vec![Box::new(driver) as Box<dyn Driver>],
         meter,
-        strategy_box(strategy),
+        strategy.build(),
         EngineCosts::zero(),
     )
-}
-
-fn strategy_box(kind: StrategyKind) -> Box<dyn Strategy> {
-    match kind {
-        StrategyKind::Default => Box::new(StratDefault),
-        StrategyKind::Aggreg => Box::new(StratAggreg),
-        StrategyKind::Reorder => Box::new(StratReorder),
-        StrategyKind::Multirail => Box::new(StratMultirail::default()),
-    }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum StrategyKind {
-    Default,
-    Aggreg,
-    Reorder,
-    Multirail,
 }
 
 const ALL_STRATEGIES: [StrategyKind; 4] = [
@@ -47,17 +34,15 @@ fn pump(
     b: &mut NmadEngine,
     mut done: impl FnMut(&mut NmadEngine, &mut NmadEngine) -> bool,
 ) -> SimTime {
-    for _ in 0..1_000_000 {
-        let mut moved = a.progress_until_idle();
-        moved |= b.progress_until_idle();
+    run_until(world, || {
+        let moved = a.progress_until_idle() | b.progress_until_idle();
         if done(a, b) {
-            return world.lock().now();
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
-    }
-    panic!("no convergence");
+    })
+    .expect("no deadlock")
 }
 
 #[test]

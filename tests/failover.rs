@@ -8,7 +8,8 @@
 use newmadeleine::core::prelude::*;
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::{Driver, FaultPlan, FaultStats, NetError, SimCpuMeter};
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig};
+use newmadeleine::sim::{nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig};
+use std::ops::ControlFlow;
 
 fn multirail_engine(world: &SharedWorld, node: u32) -> NmadEngine {
     let drivers: Vec<Box<dyn Driver>> = SimDriver::all_rails(world, NodeId(node))
@@ -30,16 +31,15 @@ fn pump(
     b: &mut NmadEngine,
     mut done: impl FnMut(&mut NmadEngine, &mut NmadEngine) -> bool,
 ) {
-    for _ in 0..1_000_000 {
+    run_until(world, || {
         let moved = a.progress() | b.progress();
         if done(a, b) {
-            return;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
-    }
-    panic!("no convergence");
+    })
+    .expect("no deadlock");
 }
 
 fn two_rail_world() -> SharedWorld {
@@ -236,7 +236,7 @@ fn rail_fault_with_nonempty_window_keeps_dst_index_consistent() {
     ];
     recvs.extend((0..10u32).map(|i| b.post_recv(NodeId(0), Tag(i), 256)));
 
-    for _ in 0..1_000_000 {
+    run_until(&world, || {
         let moved = a.progress() | b.progress();
         assert!(
             a.window_index_consistent(),
@@ -249,12 +249,12 @@ fn rail_fault_with_nonempty_window_keeps_dst_index_consistent() {
             b.diagnostics()
         );
         if sends.iter().all(|&x| a.is_send_done(x)) && recvs.iter().all(|&x| b.is_recv_done(x)) {
-            break;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
-    }
+    })
+    .expect("no deadlock");
     assert_eq!(b.try_take_recv(recvs[0]).unwrap().data, big);
     assert_eq!(b.try_take_recv(recvs[1]).unwrap().data, big);
     for (i, &x) in recvs[2..].iter().enumerate() {

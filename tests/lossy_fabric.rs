@@ -6,7 +6,10 @@
 use newmadeleine::core::prelude::*;
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::{Driver, LossyDriver, ReliableDriver, SimCpuMeter};
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
+use newmadeleine::sim::{
+    nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime,
+};
+use std::ops::ControlFlow;
 
 const RTO_NS: u64 = 200_000; // 200 us
 
@@ -37,16 +40,15 @@ fn pump(
     b: &mut NmadEngine,
     mut done: impl FnMut(&mut NmadEngine, &mut NmadEngine) -> bool,
 ) {
-    for _ in 0..5_000_000u64 {
+    run_until(world, || {
         let moved = a.progress() | b.progress();
         if done(a, b) {
-            return;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
-    }
-    panic!("no convergence");
+    })
+    .expect("no deadlock");
 }
 
 #[test]

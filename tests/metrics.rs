@@ -8,7 +8,8 @@ use newmadeleine::core::{
     Tag,
 };
 use newmadeleine::net::SimDriver;
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig};
+use newmadeleine::sim::{nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig};
+use std::ops::ControlFlow;
 
 fn engine(world: &SharedWorld, node: u32, strategy: Box<dyn Strategy>) -> NmadEngine {
     let driver = SimDriver::new(world.clone(), NodeId(node), RailId(0));
@@ -26,16 +27,16 @@ fn small_burst(mk: fn() -> Box<dyn Strategy>) -> MetricsSnapshot {
         .map(|t| a.isend(NodeId(1), Tag(t), vec![t as u8; 64]))
         .collect();
     let recvs: Vec<_> = (0..8).map(|t| b.post_recv(NodeId(0), Tag(t), 64)).collect();
-    for _ in 0..100_000 {
+    run_until(&world, || {
         let moved = a.progress() | b.progress();
         if sends.iter().all(|&s| a.is_send_done(s)) && recvs.iter().all(|&r| b.is_recv_done(r)) {
-            return a.metrics();
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock before the burst completed");
-        }
-    }
-    panic!("burst did not converge");
+    })
+    .expect("the burst completes");
+    a.metrics()
 }
 
 #[test]

@@ -9,8 +9,9 @@ use newmadeleine::core::SeqNo;
 use newmadeleine::core::Strategy;
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::Driver;
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig};
+use newmadeleine::sim::{nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig};
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 
 type MkStrategy = fn() -> Box<dyn Strategy>;
 
@@ -72,19 +73,13 @@ proptest! {
                 recvs.push((seg.tag, idx, b.post_recv(NodeId(0), Tag(seg.tag), seg.len)));
             }
             // Pump to completion.
-            let mut spins = 0u32;
-            loop {
-                let mut moved = a.progress();
-                moved |= b.progress();
+            run_until(&world, || {
+                let moved = a.progress() | b.progress();
                 let all = sends.iter().all(|&s| a.is_send_done(s))
                     && recvs.iter().all(|&(_, _, r)| b.is_recv_done(r));
-                if all { break; }
-                if !moved && world.lock().advance().is_none() {
-                    panic!("deadlock under {name}");
-                }
-                spins += 1;
-                prop_assert!(spins < 1_000_000, "livelock under {name}");
-            }
+                if all { ControlFlow::Break(()) } else { ControlFlow::Continue(moved) }
+            })
+            .unwrap_or_else(|e| panic!("under {name}: {e}"));
             for (tag, idx, r) in recvs {
                 let done = b.try_take_recv(r).expect("completed");
                 prop_assert_eq!(
@@ -384,21 +379,16 @@ proptest! {
             )));
             expected.entry(tag).or_default().push(body);
         }
-        let mut spins = 0u32;
-        loop {
+        run_until(&world, || {
             let mut moved = false;
             for e in senders.iter_mut().chain(sinks.iter_mut()) {
                 moved |= e.progress_until_idle();
             }
             let all = sends.iter().all(|&(s, r)| senders[s].is_send_done(r))
                 && recvs.iter().all(|&(_, _, s, r)| sinks[s].is_recv_done(r));
-            if all { break; }
-            if !moved && world.lock().advance().is_none() {
-                panic!("sharded deadlock");
-            }
-            spins += 1;
-            prop_assert!(spins < 1_000_000, "sharded livelock");
-        }
+            if all { ControlFlow::Break(()) } else { ControlFlow::Continue(moved) }
+        })
+        .expect("sharded co-simulation");
         for (tag, idx, s, r) in recvs {
             let done = sinks[s].try_take_recv(r).expect("completed");
             prop_assert_eq!(
@@ -459,24 +449,17 @@ proptest! {
         for (i, &(len, _)) in items.iter().enumerate() {
             recvs.push(sink.post_recv(NodeId(0), Tag(i as u32), len));
         }
-        let mut spins = 0u32;
-        loop {
-            let mut moved = victim.progress();
-            moved |= thief.progress();
-            moved |= sink.progress();
+        run_until(&world, || {
+            let moved = victim.progress() | thief.progress() | sink.progress();
             for (req, victim_idx) in thief.drain_spool_done() {
-                prop_assert_eq!(victim_idx, 0, "foreign done routed to the wrong victim");
+                assert_eq!(victim_idx, 0, "foreign done routed to the wrong victim");
                 victim.complete_foreign_done(req);
             }
             let all = sends.iter().all(|&s| victim.is_send_done(s))
                 && recvs.iter().all(|&r| sink.is_recv_done(r));
-            if all { break; }
-            if !moved && world.lock().advance().is_none() {
-                panic!("steal co-simulation deadlock");
-            }
-            spins += 1;
-            prop_assert!(spins < 1_000_000, "steal co-simulation livelock");
-        }
+            if all { ControlFlow::Break(()) } else { ControlFlow::Continue(moved) }
+        })
+        .expect("steal co-simulation");
         for req in donated_reqs {
             prop_assert!(victim.is_send_done(req), "foreign completion lost");
         }
@@ -494,19 +477,15 @@ fn pump_until(
     b: &mut NmadEngine,
     done: impl Fn(&NmadEngine, &NmadEngine) -> bool,
 ) {
-    let mut spins = 0u32;
-    loop {
-        let mut moved = a.progress();
-        moved |= b.progress();
+    run_until(world, || {
+        let moved = a.progress() | b.progress();
         if done(a, b) {
-            break;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock");
-        }
-        spins += 1;
-        assert!(spins < 1_000_000, "livelock");
-    }
+    })
+    .expect("no deadlock");
 }
 
 /// One eager data frame is two iov segments (header block + payload).

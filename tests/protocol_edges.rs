@@ -17,7 +17,10 @@ use newmadeleine::net::{
     reliable, Capabilities, Driver, FaultPlan, FaultStats, NetResult, ReliableDriver, RxFrame,
     SendHandle, SimCpuMeter,
 };
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
+use newmadeleine::sim::{
+    nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime,
+};
+use std::ops::ControlFlow;
 
 fn engine(world: &SharedWorld, node: u32, strategy: Box<dyn Strategy>) -> NmadEngine {
     let driver = SimDriver::new(world.clone(), NodeId(node), RailId(0));
@@ -36,17 +39,15 @@ fn pump(
     b: &mut NmadEngine,
     mut done: impl FnMut(&mut NmadEngine, &mut NmadEngine) -> bool,
 ) {
-    for _ in 0..2_000_000 {
-        let mut moved = a.progress();
-        moved |= b.progress();
+    run_until(world, || {
+        let moved = a.progress() | b.progress();
         if done(a, b) {
-            return;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
-    }
-    panic!("no convergence");
+    })
+    .expect("no deadlock");
 }
 
 #[test]

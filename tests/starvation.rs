@@ -16,7 +16,8 @@
 use newmadeleine::core::prelude::*;
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::Driver;
-use newmadeleine::sim::{nic, shared_world, NodeId, SharedWorld, SimConfig};
+use newmadeleine::sim::{nic, run_until, shared_world, NodeId, SharedWorld, SimConfig};
+use std::ops::ControlFlow;
 
 /// Urgent messages big enough that one frame (rendezvous threshold of
 /// payload) drains only a handful of them: the flood stays saturating
@@ -78,7 +79,7 @@ fn bulk_flow_completes_within_the_aging_bound_under_urgent_flood() {
     let mut urgent_done_before_bulk = 0usize;
     let mut bulk_done_at_submissions: Option<usize> = None;
 
-    for _ in 0..10_000_000u64 {
+    run_until(&world, || {
         // Keep the urgent lane saturated.
         while submitted < MAX_URGENT && outstanding.len() < BACKLOG {
             let len = URGENT_MIN + (jitter(submitted as u64) as usize % URGENT_SPREAD);
@@ -117,15 +118,12 @@ fn bulk_flow_completes_within_the_aging_bound_under_urgent_flood() {
             && outstanding.is_empty()
             && tx.is_send_done(bulk_send)
         {
-            break;
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!(
-                "starvation sim deadlock:\n{}",
-                world.lock().pending_summary()
-            );
-        }
-    }
+    })
+    .expect("starvation sim");
 
     // The Bulk flow completed at all — and within the aging bound.
     // Promotion to the urgent lane takes at most NUM_LANES - 1 age

@@ -13,8 +13,9 @@ use newmadeleine::core::{
     StratDefault, StratDynamic, StratLanes, StratMultirail, StratReorder, Strategy, Tag, Window,
 };
 use newmadeleine::net::{Capabilities, SimDriver};
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SimConfig};
+use newmadeleine::sim::{nic, run_until, shared_world, NodeId, RailId, SimConfig};
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 
 #[derive(Clone, Debug)]
 struct GenSeg {
@@ -189,20 +190,17 @@ proptest! {
             .enumerate()
             .map(|(i, &len)| b.post_recv(NodeId(0), Tag(i as u32), len))
             .collect();
-        let mut converged = false;
-        for _ in 0..200_000 {
+        let converged = run_until(&world, || {
             let moved = a.progress() | b.progress();
             if sends.iter().all(|&s| a.is_send_done(s))
                 && recvs.iter().all(|&r| b.is_recv_done(r))
             {
-                converged = true;
-                break;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(moved)
             }
-            if !moved && world.lock().advance().is_none() {
-                break;
-            }
-        }
-        prop_assert!(converged, "workload did not complete");
+        });
+        prop_assert!(converged.is_ok(), "workload did not complete: {:?}", converged);
         let trace = world.lock().take_trace();
         let ma = a.metrics();
         prop_assert_eq!(

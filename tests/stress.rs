@@ -6,8 +6,9 @@ use newmadeleine::core::prelude::*;
 use newmadeleine::mpi::{pump_cluster, sim_cluster, EngineKind, StrategyKind};
 use newmadeleine::net::sim::SimDriver;
 use newmadeleine::net::Driver;
-use newmadeleine::sim::{nic, shared_world, NodeId, RailId, SharedWorld, SimConfig};
+use newmadeleine::sim::{nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 fn engine(world: &SharedWorld, node: u32, strategy: Box<dyn Strategy>) -> NmadEngine {
     let driver = SimDriver::new(world.clone(), NodeId(node), RailId(0));
@@ -51,24 +52,22 @@ fn run_workload(
         *idx += 1;
     }
 
-    for _ in 0..20_000_000u64 {
-        let mut moved = a.progress();
-        moved |= b.progress();
-        let all = sends.iter().all(|&s| a.is_send_done(s))
-            && recvs.iter().all(|&(_, _, r)| b.is_recv_done(r));
-        if all {
-            for (tag, idx, r) in recvs {
-                let done = b.try_take_recv(r).expect("completed");
-                assert_eq!(done.data, expected[&tag][idx], "flow {tag} item {idx}");
-            }
-            let t = world.lock().now().as_us_f64();
-            return (t, a.stats().frames_sent);
+    let t = run_until(&world, || {
+        let moved = a.progress() | b.progress();
+        if sends.iter().all(|&s| a.is_send_done(s))
+            && recvs.iter().all(|&(_, _, r)| b.is_recv_done(r))
+        {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
+    })
+    .expect("no deadlock");
+    for (tag, idx, r) in recvs {
+        let done = b.try_take_recv(r).expect("completed");
+        assert_eq!(done.data, expected[&tag][idx], "flow {tag} item {idx}");
     }
-    panic!("no convergence");
+    (t.as_us_f64(), a.stats().frames_sent)
 }
 
 #[test]
@@ -200,22 +199,21 @@ fn bidirectional_stress_with_different_strategies_per_side() {
         ));
         *ia += 1;
     }
-    for _ in 0..20_000_000u64 {
+    run_until(&world, || {
         let moved = a.progress() | b.progress();
-        let all = recvs_b.iter().all(|&(_, _, r)| b.is_recv_done(r))
-            && recvs_a.iter().all(|&(_, _, r)| a.is_recv_done(r));
-        if all {
-            for (tag, idx, r) in recvs_b {
-                assert_eq!(b.try_take_recv(r).unwrap().data, expected_at_b[&tag][idx]);
-            }
-            for (tag, idx, r) in recvs_a {
-                assert_eq!(a.try_take_recv(r).unwrap().data, expected_at_a[&tag][idx]);
-            }
-            return;
+        if recvs_b.iter().all(|&(_, _, r)| b.is_recv_done(r))
+            && recvs_a.iter().all(|&(_, _, r)| a.is_recv_done(r))
+        {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(moved)
         }
-        if !moved && world.lock().advance().is_none() {
-            panic!("deadlock:\n{}", world.lock().pending_summary());
-        }
+    })
+    .expect("no deadlock");
+    for (tag, idx, r) in recvs_b {
+        assert_eq!(b.try_take_recv(r).unwrap().data, expected_at_b[&tag][idx]);
     }
-    panic!("no convergence");
+    for (tag, idx, r) in recvs_a {
+        assert_eq!(a.try_take_recv(r).unwrap().data, expected_at_a[&tag][idx]);
+    }
 }
