@@ -212,10 +212,12 @@ pub struct EngineStats {
     /// Frames that required a staging copy because the NIC could not
     /// gather enough segments.
     pub staging_copies: u64,
-    /// Refill attempts skipped because the destination was out of
-    /// eager credits (flow control).
+    /// Always 0: the engine has no eager credit flow control. Kept
+    /// because the benchmark harness (`perfbench/src/tailsim.rs`)
+    /// reads it.
     pub credit_stalls: u64,
-    /// Standalone credit-return frames sent.
+    /// Always 0, for the same reason as
+    /// [`credit_stalls`](Self::credit_stalls).
     pub credit_frames: u64,
 }
 
@@ -350,14 +352,6 @@ pub struct NmadEngine {
     stats: EngineStats,
     metrics: EngineMetrics,
     pool: FramePool,
-    /// Eager flow control: max data-bearing frames in flight per peer
-    /// without a credit return. `None` disables the mechanism.
-    credit_limit: Option<usize>,
-    credits: FxHashMap<NodeId, usize>,
-    pending_credit_returns: FxHashMap<NodeId, u32>,
-    /// Scratch for the peers owed a standalone credit return, reused
-    /// by every pump.
-    credit_owed: Vec<NodeId>,
     /// Shard identity when this engine is one shard of a sharded
     /// runtime; `None` for a monolithic engine.
     route: Option<ShardRoute>,
@@ -373,9 +367,8 @@ pub struct NmadEngine {
     /// their victim shard.
     spool_done: Vec<(SendReqId, usize)>,
     /// Unexpected-queue depth at which the engine signals receive-side
-    /// backpressure to its drivers ([`Driver::set_rx_backpressure`]);
-    /// `None` disables the signal.
-    rx_saturation_cap: Option<usize>,
+    /// backpressure to its drivers ([`Driver::set_rx_backpressure`]).
+    rx_saturation_cap: usize,
     /// Whether the backpressure signal is currently raised.
     rx_backpressured: bool,
 }
@@ -430,53 +423,13 @@ impl NmadEngine {
             stats: EngineStats::default(),
             metrics: EngineMetrics::default(),
             pool: FramePool::new(64),
-            credit_limit: None,
-            credits: FxHashMap::default(),
-            pending_credit_returns: FxHashMap::default(),
-            credit_owed: Vec::new(),
             route: None,
             foreign_rx: Vec::new(),
             spool: VecDeque::new(),
             spool_done: Vec::new(),
-            rx_saturation_cap: Some(DEFAULT_RX_SATURATION_CAP),
+            rx_saturation_cap: DEFAULT_RX_SATURATION_CAP,
             rx_backpressured: false,
         }
-    }
-
-    /// Sets the unexpected-queue depth at which the engine raises
-    /// receive-side backpressure towards its drivers (parking socket
-    /// reads until matching catches up). `None` disables the signal;
-    /// the default is generous ([`DEFAULT_RX_SATURATION_CAP`] frames).
-    pub fn set_rx_saturation_cap(&mut self, cap: Option<usize>) {
-        assert!(
-            cap.is_none_or(|c| c > 0),
-            "a zero saturation cap would park receives forever"
-        );
-        self.rx_saturation_cap = cap;
-    }
-
-    /// Enables credit-based eager flow control: at most `limit`
-    /// data-bearing frames may be in flight towards one peer before a
-    /// credit returns (bounding the receiver's unexpected-message
-    /// memory). Both peers of a link should configure the same limit.
-    /// `None` (the default) disables the mechanism.
-    pub fn set_eager_credit_limit(&mut self, limit: Option<usize>) {
-        assert!(
-            limit.is_none_or(|l| l > 0),
-            "a zero credit limit would deadlock"
-        );
-        self.credit_limit = limit;
-        self.credits.clear();
-    }
-
-    fn credits_for(&mut self, dst: NodeId) -> usize {
-        // Callers gate on `credit_limit.is_some()`; a disabled limit
-        // means unlimited credit rather than a pump-thread panic.
-        let Some(limit) = self.credit_limit else {
-            debug_assert!(false, "credits_for with flow control disabled");
-            return usize::MAX;
-        };
-        *self.credits.entry(dst).or_insert(limit)
     }
 
     /// Node the event belongs to.
@@ -745,17 +698,14 @@ impl NmadEngine {
         }
     }
 
-    /// The flow tag a frame should be routed by: the first entry that
-    /// belongs to a flow. `None` for pure credit-return frames, which
-    /// are per-rail-group (not per-flow) and always arrive at the
-    /// shard that owes/owns them.
+    /// The flow tag a frame should be routed by: the tag of its first
+    /// entry. `None` only for an empty frame, which no engine sends.
     fn frame_flow_tag(entries: &[Entry]) -> Option<Tag> {
-        entries.iter().find_map(|e| match e {
+        entries.first().map(|e| match e {
             Entry::Data { tag, .. }
             | Entry::Rts { tag, .. }
             | Entry::Cts { tag, .. }
-            | Entry::RdvData { tag, .. } => Some(*tag),
-            Entry::Credit { .. } => None,
+            | Entry::RdvData { tag, .. } => *tag,
         })
     }
 
@@ -782,7 +732,6 @@ impl NmadEngine {
         self.stats.frames_received += 1;
         self.meter
             .charge_ns(self.costs.per_entry_ns * entries.len() as u64);
-        let had_data = entries.iter().any(|e| matches!(e, Entry::Data { .. }));
         for entry in entries {
             match entry {
                 Entry::Data {
@@ -857,17 +806,7 @@ impl NmadEngine {
                             .on_rdv_chunk(src, tag, seq, offset, payload, rx_zero_copy);
                     self.apply_effects(fx);
                 }
-                Entry::Credit { count } => {
-                    if let Some(limit) = self.credit_limit {
-                        let c = self.credits.entry(src).or_insert(limit);
-                        *c = (*c + count as usize).min(limit);
-                    }
-                }
             }
-        }
-        if self.credit_limit.is_some() && had_data {
-            // One data-bearing frame consumed: owe its sender a credit.
-            *self.pending_credit_returns.entry(src).or_insert(0) += 1;
         }
         Ok(())
     }
@@ -912,23 +851,10 @@ impl NmadEngine {
         // headers) into a pooled buffer and records where each payload
         // splices in — payload bytes are not touched.
         let mut fe = FrameEncoder::with_buffer(self.pool.take(&mut self.metrics));
-        let mut owed_credits = 0u32;
-        if self.credit_limit.is_some() {
-            if let Some(owed) = self.pending_credit_returns.get_mut(&plan.dst) {
-                owed_credits = std::mem::take(owed);
-                if owed_credits > 0 {
-                    fe.push_credit(owed_credits);
-                }
-            }
-        }
-        let mut carries_data = false;
         for entry in &plan.entries {
             match entry {
                 PlanEntry::Cts(c) => fe.push_cts(c.tag, c.seq, c.total),
-                PlanEntry::Data(w) => {
-                    fe.push_data_lane(w.tag, w.seq, w.priority.lane(), &w.data);
-                    carries_data = true;
-                }
+                PlanEntry::Data(w) => fe.push_data_lane(w.tag, w.seq, w.priority.lane(), &w.data),
                 PlanEntry::Rts(w) => {
                     // Segment lengths are bounded at submit; clamp in
                     // release instead of panicking mid-pump.
@@ -983,9 +909,6 @@ impl NmadEngine {
                 }
                 self.nics[nic_idx].dead = true;
                 self.metrics.rail_faults += 1;
-                if owed_credits > 0 {
-                    *self.pending_credit_returns.entry(plan.dst).or_insert(0) += owed_credits;
-                }
                 self.metrics.requeued_entries += plan.entries.len() as u64;
                 self.requeue_plan(plan);
                 self.reclaim_rail(nic_idx);
@@ -1048,13 +971,6 @@ impl NmadEngine {
             chunk_entries: n_chunk,
             reordered,
         });
-        if let (true, Some(limit)) = (carries_data, self.credit_limit) {
-            let c = self.credits.entry(plan.dst).or_insert(limit);
-            // Data may piggyback on credit-exempt traffic (a grant or
-            // rendezvous chunk) while the account is empty; tolerate a
-            // bounded overdraft rather than splitting the frame.
-            *c = c.saturating_sub(1);
-        }
         self.nics[nic_idx].inflight.push_back(InflightFrame {
             handle,
             dones,
@@ -1067,9 +983,8 @@ impl NmadEngine {
     }
 
     /// Posts one donated segment as a standalone spool frame: a single
-    /// data entry, no credit piggyback and no credit decrement (the
-    /// victim shard paid the credit at donation time). Returns `false`
-    /// when the NIC refused (marked dead, segment back on the spool).
+    /// data entry. Returns `false` when the NIC refused (marked dead,
+    /// segment back on the spool).
     fn post_spool_frame(
         &mut self,
         nic_idx: usize,
@@ -1185,18 +1100,16 @@ impl NmadEngine {
         // resume with hysteresis once matching has caught up to half
         // the cap, so the signal cannot flap at the boundary. Edge
         // transitions only — the common pump pays one comparison.
-        if let Some(cap) = self.rx_saturation_cap {
-            let backlog = self.matching.unexpected_count();
-            let want = if self.rx_backpressured {
-                backlog > cap / 2
-            } else {
-                backlog >= cap
-            };
-            if want != self.rx_backpressured {
-                self.rx_backpressured = want;
-                for nic in &mut self.nics {
-                    nic.driver.set_rx_backpressure(want);
-                }
+        let backlog = self.matching.unexpected_count();
+        let want = if self.rx_backpressured {
+            backlog > self.rx_saturation_cap / 2
+        } else {
+            backlog >= self.rx_saturation_cap
+        };
+        if want != self.rx_backpressured {
+            self.rx_backpressured = want;
+            for nic in &mut self.nics {
+                nic.driver.set_rx_backpressure(want);
             }
         }
 
@@ -1274,19 +1187,6 @@ impl NmadEngine {
                 {
                     break;
                 }
-                // Flow-control gate: if the next destination is out of
-                // eager credits and has no credit-exempt traffic
-                // (control, granted rendezvous data), hold the window
-                // until a credit returns.
-                if let Some(dst) = self.window.next_dst(i) {
-                    if self.credit_limit.is_some()
-                        && self.credits_for(dst) == 0
-                        && !self.window.has_non_data_work_for(dst)
-                    {
-                        self.stats.credit_stalls += 1;
-                        break;
-                    }
-                }
                 // Borrows `nics` while `strategy` and `window` are
                 // borrowed mutably: disjoint fields.
                 let view = NicView {
@@ -1299,50 +1199,6 @@ impl NmadEngine {
                 debug_assert!(!plan.is_empty(), "strategies never plan empty frames");
                 self.build_and_post(i, plan)?;
                 any = true;
-            }
-            // Standalone credit returns: peers we owe credits but have
-            // no other traffic towards, lowest node first so the map's
-            // iteration order never picks who goes out. The driver is
-            // asked whether it is idle only once some credit is owed.
-            // PANIC-OK: i < nics.len() loop bound
-            if self.credit_limit.is_some() && !self.nics[i].dead {
-                // Taken out of `self` for the loop, which posts through
-                // `self`; a transport error drops it with the pump.
-                let mut owed = std::mem::take(&mut self.credit_owed);
-                owed.clear();
-                owed.extend(
-                    self.pending_credit_returns
-                        .iter()
-                        .filter(|&(_, &c)| c > 0)
-                        .map(|(&n, _)| n),
-                );
-                owed.sort_unstable();
-                for &dst in &owed {
-                    // PANIC-OK: i < nics.len() loop bound
-                    if !self.nics[i].driver.tx_idle() {
-                        break;
-                    }
-                    let Some(owed_count) = self.pending_credit_returns.get_mut(&dst) else {
-                        continue;
-                    };
-                    let count = std::mem::take(owed_count);
-                    let mut fe = FrameEncoder::with_buffer(self.pool.take(&mut self.metrics));
-                    fe.push_credit(count);
-                    let iov = fe.finish();
-                    let handle = self.nics[i].driver.post_send(dst, &iov.segments())?; // PANIC-OK: i < nics.len() loop bound
-                    self.nics[i].inflight.push_back(InflightFrame {
-                        // PANIC-OK: i < nics.len() loop bound
-                        handle,
-                        dones: Vec::new(), // ALLOC-OK: Vec::new does not allocate
-                        plan: FramePlan::new(dst),
-                        bufs: vec![iov.into_meta()], // ALLOC-OK: one-element buffer list per posted credit frame
-                        foreign: None,
-                    });
-                    self.stats.frames_sent += 1;
-                    self.stats.credit_frames += 1;
-                    any = true;
-                }
-                self.credit_owed = owed;
             }
         }
         Ok(any)
@@ -1396,9 +1252,9 @@ impl NmadEngine {
 
     /// True while any submitted work could still complete: pending
     /// sends, posted receives, queued window entries, rendezvous
-    /// handshakes, in-flight frames or owed credit returns. The
-    /// threaded progression loop spins while this holds and parks on
-    /// the submission ring otherwise.
+    /// handshakes or in-flight frames. The threaded progression loop
+    /// spins while this holds and parks on the submission ring
+    /// otherwise.
     pub fn has_outstanding(&self) -> bool {
         !self.sends.is_empty()
             || self.matching.posted_count() > 0
@@ -1406,7 +1262,6 @@ impl NmadEngine {
             || !self.rdv_wait_cts.is_empty()
             || !self.rdv_tx.is_empty()
             || self.nics.iter().any(|n| !n.inflight.is_empty())
-            || self.pending_credit_returns.values().any(|&c| c > 0)
             || !self.spool.is_empty()
             || !self.spool_done.is_empty()
             || !self.foreign_rx.is_empty()
@@ -1472,10 +1327,7 @@ impl NmadEngine {
 
     /// Takes up to `max` eager segments off the *back* of the common
     /// list for donation to an idle shard. Only small segments move
-    /// (≤ [`NmadEngine::MAX_DONATION_BYTES`]); when flow control is
-    /// on, the victim pays one eager credit per donated segment here,
-    /// and the thief's spool transmit pays none — exactly one debit
-    /// per data frame on the wire, as in the monolith.
+    /// (≤ [`NmadEngine::MAX_DONATION_BYTES`]).
     pub fn donate_eager(&mut self, max: usize) -> Vec<PackWrapper> {
         let mut out = Vec::new();
         while out.len() < max {
@@ -1485,17 +1337,9 @@ impl NmadEngine {
             if back.len() > Self::MAX_DONATION_BYTES {
                 break;
             }
-            let dst = back.dst;
-            if self.credit_limit.is_some() && self.credits_for(dst) == 0 {
-                break;
-            }
             let Some(wrapper) = self.window.pop_common_back() else {
                 break;
             };
-            if let Some(limit) = self.credit_limit {
-                let c = self.credits.entry(dst).or_insert(limit);
-                *c = c.saturating_sub(1);
-            }
             out.push(wrapper);
         }
         out
@@ -1506,13 +1350,8 @@ impl NmadEngine {
     pub const MAX_DONATION_BYTES: usize = 16 * 1024;
 
     /// Returns a donated segment this shard could not place (the thief
-    /// departed): the segment re-enters the window front and the
-    /// credit paid at donation time is refunded.
+    /// departed): the segment re-enters the window front.
     pub fn undonate(&mut self, wrapper: PackWrapper) {
-        if let Some(limit) = self.credit_limit {
-            let c = self.credits.entry(wrapper.dst).or_insert(limit);
-            *c = (*c + 1).min(limit);
-        }
         self.window.push_segment_front(wrapper);
     }
 
@@ -1561,11 +1400,8 @@ impl NmadEngine {
     /// memos) partitions by `policy`'s owner function. The transmit
     /// side must be quiescent — nothing in flight crosses the split.
     ///
-    /// Shard 0 inherits the CPU meter, accumulated statistics, credit
-    /// accounts and undrained completions; the other shards start
-    /// fresh accounts (each shard then runs its own per-peer credit
-    /// window against the peer's same-index shard, which is the only
-    /// shard whose rails its data frames arrive on).
+    /// Shard 0 inherits the CPU meter, accumulated statistics and
+    /// undrained completions; the other shards start fresh.
     pub fn split_for_shards(self, shards: usize, policy: ShardPolicy) -> Vec<NmadEngine> {
         assert!(shards > 0, "cannot split into zero shards");
         assert!(
@@ -1602,8 +1438,6 @@ impl NmadEngine {
         let mut stats = Some(self.stats);
         let mut metrics = Some(self.metrics);
         let mut done_sends = Some(self.done_sends);
-        let mut credits = Some(self.credits);
-        let mut pending = Some(self.pending_credit_returns);
         let mut pool = Some(self.pool);
 
         let mut parts = Vec::with_capacity(shards);
@@ -1637,10 +1471,6 @@ impl NmadEngine {
                 stats: stats.take().unwrap_or_default(),
                 metrics: metrics.take().unwrap_or_default(),
                 pool: pool.take().unwrap_or_else(|| FramePool::new(64)),
-                credit_limit: self.credit_limit,
-                credits: credits.take().unwrap_or_default(),
-                pending_credit_returns: pending.take().unwrap_or_default(),
-                credit_owed: Vec::new(),
                 route: Some(ShardRoute {
                     shard: s,
                     shards,
@@ -1660,14 +1490,12 @@ impl NmadEngine {
     /// [`split_for_shards`](Self::split_for_shards) into one monolith:
     /// rails re-interleave to their original indices, windows and
     /// matching states merge, counters aggregate (sums; the window
-    /// high-water mark takes the deepest shard) and per-peer credit
-    /// accounts recombine by total outstanding deficit. Every shard
-    /// must be transmit-quiescent with an empty spool.
+    /// high-water mark takes the deepest shard). Every shard must be
+    /// transmit-quiescent with an empty spool.
     pub fn merge_shards(parts: Vec<NmadEngine>) -> NmadEngine {
         assert!(!parts.is_empty(), "cannot merge zero shard engines");
         let shards = parts.len();
         let node = parts[0].node;
-        let credit_limit = parts[0].credit_limit;
         let rx_saturation_cap = parts[0].rx_saturation_cap;
         // A shard that raised backpressure hands the raised state to
         // the monolith; the next pump re-evaluates and releases it.
@@ -1693,8 +1521,6 @@ impl NmadEngine {
         let mut next_seq: FxHashMap<(NodeId, Tag), SeqNo> = FxHashMap::default();
         let mut rdv_done: FxHashSet<RdvKey> = FxHashSet::default();
         let mut done_sends: FxHashSet<SendReqId> = FxHashSet::default();
-        let mut deficits: FxHashMap<NodeId, usize> = FxHashMap::default();
-        let mut pending: FxHashMap<NodeId, u32> = FxHashMap::default();
         let mut next_req = 0u64;
         let mut order = 0u64;
 
@@ -1722,14 +1548,6 @@ impl NmadEngine {
             }
             rdv_done.extend(part.rdv_done);
             done_sends.extend(part.done_sends);
-            if let Some(limit) = credit_limit {
-                for (peer, c) in part.credits {
-                    *deficits.entry(peer).or_insert(0) += limit.saturating_sub(c);
-                }
-            }
-            for (peer, c) in part.pending_credit_returns {
-                *pending.entry(peer).or_insert(0) += c;
-            }
             next_req = next_req.max(part.next_req);
             order = order.max(part.order);
         }
@@ -1741,14 +1559,6 @@ impl NmadEngine {
         let caps: Vec<_> = nics.iter().map(|n| n.driver.caps().clone()).collect();
         let mut strategy = strategy.expect("shard 0 present");
         strategy.init(&caps);
-        let credits = credit_limit
-            .map(|limit| {
-                deficits
-                    .into_iter()
-                    .map(|(peer, deficit)| (peer, limit.saturating_sub(deficit)))
-                    .collect()
-            })
-            .unwrap_or_default();
 
         NmadEngine {
             node,
@@ -1769,10 +1579,6 @@ impl NmadEngine {
             stats,
             metrics,
             pool: pool.expect("shard 0 present"),
-            credit_limit,
-            credits,
-            pending_credit_returns: pending,
-            credit_owed: Vec::new(),
             route: None,
             foreign_rx: Vec::new(),
             spool: VecDeque::new(),
@@ -1949,7 +1755,7 @@ mod tests {
             Box::new(StratDefault),
             EngineCosts::zero(),
         );
-        b.set_rx_saturation_cap(Some(4));
+        b.rx_saturation_cap = 4;
 
         // Eight eager sends with no receives posted: they pile up in
         // b's unexpected queue and must cross the cap of 4.
@@ -2015,48 +1821,42 @@ mod tests {
 
     #[test]
     fn idle_pump_makes_no_tx_idle_call() {
-        for credits in [None, Some(2)] {
-            let mut fabric = nmad_net::mem::mem_fabric(2);
-            let b_driver = fabric.pop().unwrap();
-            let a_driver = fabric.pop().unwrap();
-            let calls = std::sync::Arc::new(parking_lot::Mutex::new(0usize));
-            let mk = |driver: Box<dyn Driver>| {
-                let mut e = NmadEngine::new(
-                    vec![driver],
-                    Box::new(nmad_net::NullMeter),
-                    Box::new(StratDefault),
-                    EngineCosts::zero(),
-                );
-                e.set_eager_credit_limit(credits);
-                e
-            };
-            let mut a = mk(Box::new(a_driver));
-            let mut b = mk(Box::new(CountingIdle {
-                inner: b_driver,
-                calls: calls.clone(),
-            }));
+        let mut fabric = nmad_net::mem::mem_fabric(2);
+        let b_driver = fabric.pop().unwrap();
+        let a_driver = fabric.pop().unwrap();
+        let calls = std::sync::Arc::new(parking_lot::Mutex::new(0usize));
+        let mk = |driver: Box<dyn Driver>| {
+            NmadEngine::new(
+                vec![driver],
+                Box::new(nmad_net::NullMeter),
+                Box::new(StratDefault),
+                EngineCosts::zero(),
+            )
+        };
+        let mut a = mk(Box::new(a_driver));
+        let mut b = mk(Box::new(CountingIdle {
+            inner: b_driver,
+            calls: calls.clone(),
+        }));
 
-            // Traffic both ways: under a credit limit b owes `a`
-            // credits, returns them, and keeps `a` in its owed map
-            // with a zero count.
-            let sends: Vec<_> = (0..4)
-                .map(|t| a.isend(NodeId(1), Tag(t), vec![t as u8; 16]))
-                .collect();
-            let recvs: Vec<_> = (0..4).map(|t| b.post_recv(NodeId(0), Tag(t), 16)).collect();
-            let echo = b.isend(NodeId(0), Tag(9), vec![9; 16]);
-            let back = a.post_recv(NodeId(1), Tag(9), 16);
-            while a.progress() | b.progress() {}
-            assert!(sends.iter().all(|&s| a.is_send_done(s)), "{credits:?}");
-            assert!(recvs.iter().all(|&r| b.is_recv_done(r)), "{credits:?}");
-            assert!(b.is_send_done(echo) && a.is_recv_done(back), "{credits:?}");
-            assert!(*calls.lock() > 0, "b's refill loop asked while it sent");
+        // Traffic both ways, then nothing left to move.
+        let sends: Vec<_> = (0..4)
+            .map(|t| a.isend(NodeId(1), Tag(t), vec![t as u8; 16]))
+            .collect();
+        let recvs: Vec<_> = (0..4).map(|t| b.post_recv(NodeId(0), Tag(t), 16)).collect();
+        let echo = b.isend(NodeId(0), Tag(9), vec![9; 16]);
+        let back = a.post_recv(NodeId(1), Tag(9), 16);
+        while a.progress() | b.progress() {}
+        assert!(sends.iter().all(|&s| a.is_send_done(s)));
+        assert!(recvs.iter().all(|&r| b.is_recv_done(r)));
+        assert!(b.is_send_done(echo) && a.is_recv_done(back));
+        assert!(*calls.lock() > 0, "b's refill loop asked while it sent");
 
-            *calls.lock() = 0;
-            for _ in 0..8 {
-                assert!(!b.progress(), "{credits:?}: nothing left to move");
-            }
-            assert_eq!(*calls.lock(), 0, "credit limit {credits:?}");
+        *calls.lock() = 0;
+        for _ in 0..8 {
+            assert!(!b.progress(), "nothing left to move");
         }
+        assert_eq!(*calls.lock(), 0);
     }
 
     #[test]
@@ -2362,143 +2162,5 @@ mod tests {
             trace.decision_entries_for(NodeId(0)),
             "engine counter and trace must agree"
         );
-    }
-}
-
-#[cfg(test)]
-mod credit_tests {
-    use super::*;
-    use crate::strategy::{StratAggreg, StratDefault};
-    use nmad_net::sim::SimDriver;
-    use nmad_sim::{nic, run_until, shared_world, SharedWorld, SimConfig};
-    use std::ops::ControlFlow;
-
-    fn engine_with(
-        world: &SharedWorld,
-        node: u32,
-        credits: Option<usize>,
-        strategy: Box<dyn Strategy>,
-    ) -> NmadEngine {
-        let driver = SimDriver::new(world.clone(), NodeId(node), nmad_sim::RailId(0));
-        let meter = Box::new(driver.meter());
-        let mut e = NmadEngine::new(vec![Box::new(driver)], meter, strategy, EngineCosts::zero());
-        e.set_eager_credit_limit(credits);
-        e
-    }
-
-    fn engine(world: &SharedWorld, node: u32, credits: Option<usize>) -> NmadEngine {
-        engine_with(world, node, credits, Box::new(StratAggreg))
-    }
-
-    fn pump(
-        world: &SharedWorld,
-        a: &mut NmadEngine,
-        b: &mut NmadEngine,
-        mut done: impl FnMut(&mut NmadEngine, &mut NmadEngine) -> bool,
-    ) {
-        run_until(world, || {
-            let moved = a.progress() | b.progress();
-            if done(a, b) {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(moved)
-            }
-        })
-        .expect("no deadlock");
-    }
-
-    #[test]
-    fn flow_control_stalls_then_recovers_on_credit_return() {
-        let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
-        // FIFO strategy: one frame per message, so a 10-message burst
-        // over 2 credits must stall until credits return; everything
-        // still delivers in order.
-        let mut a = engine_with(&world, 0, Some(2), Box::new(StratDefault));
-        let mut b = engine_with(&world, 1, Some(2), Box::new(StratDefault));
-        let sends: Vec<_> = (0..10u32)
-            .map(|i| a.isend(NodeId(1), Tag(i), vec![i as u8; 64]))
-            .collect();
-        let recvs: Vec<_> = (0..10u32)
-            .map(|i| b.post_recv(NodeId(0), Tag(i), 64))
-            .collect();
-        pump(&world, &mut a, &mut b, |a, b| {
-            sends.iter().all(|&s| a.is_send_done(s)) && recvs.iter().all(|&r| b.is_recv_done(r))
-        });
-        for (i, r) in recvs.into_iter().enumerate() {
-            assert_eq!(b.try_take_recv(r).unwrap().data, vec![i as u8; 64]);
-        }
-        assert!(
-            a.stats().credit_stalls > 0,
-            "a 10-message burst over 2 credits must stall at least once: {:?}",
-            a.stats()
-        );
-    }
-
-    #[test]
-    fn credit_returns_travel_standalone_without_reverse_traffic() {
-        let world = shared_world(SimConfig::two_nodes(nic::quadrics_qm500()));
-        let mut a = engine(&world, 0, Some(1));
-        let mut b = engine(&world, 1, Some(1));
-        // One-directional traffic: credits can only return as
-        // standalone frames.
-        let sends: Vec<_> = (0..4u32)
-            .map(|i| a.isend(NodeId(1), Tag(0), vec![i as u8; 32]))
-            .collect();
-        let recvs: Vec<_> = (0..4u32)
-            .map(|_| b.post_recv(NodeId(0), Tag(0), 32))
-            .collect();
-        pump(&world, &mut a, &mut b, |a, b| {
-            sends.iter().all(|&s| a.is_send_done(s)) && recvs.iter().all(|&r| b.is_recv_done(r))
-        });
-        assert!(
-            b.stats().credit_frames > 0,
-            "receiver must send standalone credit frames: {:?}",
-            b.stats()
-        );
-    }
-
-    #[test]
-    fn rendezvous_traffic_is_exempt_from_credits() {
-        let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
-        let mut a = engine(&world, 0, Some(1));
-        let mut b = engine(&world, 1, Some(1));
-        // Exhaust the single credit with an eager message that stays
-        // unexpected, then move a rendezvous-sized message: the RTS /
-        // CTS / chunk path must still flow.
-        let s0 = a.isend(NodeId(1), Tag(0), vec![0u8; 16]);
-        pump(&world, &mut a, &mut b, |a, _| a.is_send_done(s0));
-        let big: Vec<u8> = (0..100_000u32).map(|i| (i % 31) as u8).collect();
-        let s1 = a.isend(NodeId(1), Tag(1), big.clone());
-        let r1 = b.post_recv(NodeId(0), Tag(1), big.len());
-        pump(&world, &mut a, &mut b, |a, b| {
-            a.is_send_done(s1) && b.is_recv_done(r1)
-        });
-        assert_eq!(b.try_take_recv(r1).unwrap().data, big);
-    }
-
-    #[test]
-    fn disabled_flow_control_never_stalls() {
-        let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
-        let mut a = engine(&world, 0, None);
-        let mut b = engine(&world, 1, None);
-        let sends: Vec<_> = (0..50u32)
-            .map(|i| a.isend(NodeId(1), Tag(i), vec![1u8; 32]))
-            .collect();
-        let recvs: Vec<_> = (0..50u32)
-            .map(|i| b.post_recv(NodeId(0), Tag(i), 32))
-            .collect();
-        pump(&world, &mut a, &mut b, |a, b| {
-            sends.iter().all(|&s| a.is_send_done(s)) && recvs.iter().all(|&r| b.is_recv_done(r))
-        });
-        assert_eq!(a.stats().credit_stalls, 0);
-        assert_eq!(a.stats().credit_frames, 0);
-        assert_eq!(b.stats().credit_frames, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock")]
-    fn zero_credit_limit_is_rejected() {
-        let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
-        let _ = engine(&world, 0, Some(0));
     }
 }

@@ -244,14 +244,13 @@ impl CompletionBoard {
 /// The variants are the whole cross-shard protocol: everything else a
 /// shard owns is private to its thread.
 enum StealMsg {
-    /// Victim → thief: eager segments for the thief's spool. The
-    /// victim already debited flow-control credit for each.
+    /// Victim → thief: eager segments for the thief's spool.
     Donation {
         victim: usize,
         wrappers: Vec<PackWrapper>,
     },
     /// Thief → victim: a donation the thief could not place (it is
-    /// departing); the victim re-queues and refunds.
+    /// departing); the victim re-queues it.
     Undonate { wrappers: Vec<PackWrapper> },
     /// Receiving shard → owner shard: a frame for a flow you own
     /// arrived on my rails (the sender's thief transmitted it there).
@@ -997,7 +996,7 @@ fn maybe_donate(engine: &mut NmadEngine, shared: &Shared, shard: usize) {
         Ok(()) => shared.steal.note_donated(n),
         Err(StealMsg::Donation { wrappers, .. }) => {
             // The thief departed between pick and push: take the work
-            // back (re-queue + credit refund), nothing is lost.
+            // back (re-queue), nothing is lost.
             shared.steal.note_bounced(n);
             for w in wrappers {
                 engine.undonate(w);

@@ -168,11 +168,10 @@ impl DstCounts {
 /// The optimization window. See the module documentation.
 ///
 /// Every refill of an idle NIC queries the window per destination
-/// (drain the grants for `dst`, cut a rendezvous chunk for `dst`, is
-/// there credit-exempt work for `dst`?). The window keeps a
-/// per-destination count index so those queries return in O(1) when
-/// the answer is "nothing", instead of rescanning the full control and
-/// rendezvous queues on every poll.
+/// (drain the grants for `dst`, cut a rendezvous chunk for `dst`). The
+/// window keeps a per-destination count index so those queries return
+/// in O(1) when the answer is "nothing", instead of rescanning the full
+/// control and rendezvous queues on every poll.
 #[derive(Debug)]
 pub struct Window {
     ctrl: VecDeque<CtrlMsg>,
@@ -190,7 +189,8 @@ pub struct Window {
 }
 
 impl Window {
-    /// A fresh job covering `data` from offset zero.
+    /// An empty window for an engine with `nic_count` rails (one
+    /// dedicated list each).
     pub fn new(nic_count: usize) -> Self {
         Window {
             ctrl: VecDeque::new(),
@@ -453,10 +453,10 @@ impl Window {
         !self.rdv.is_empty()
     }
 
-    /// True when `dst` has pending work that is exempt from eager flow
-    /// control: control messages or granted rendezvous data. O(1) via
-    /// the destination index (the engine asks on every refill poll).
-    pub fn has_non_data_work_for(&self, dst: NodeId) -> bool {
+    /// Whether the destination index counts a control message or a
+    /// rendezvous job towards `dst`.
+    #[cfg(test)]
+    fn indexed_ctrl_or_rdv(&self, dst: NodeId) -> bool {
         self.index
             .get(&dst)
             .is_some_and(|c| c.ctrl > 0 || c.rdv > 0)
@@ -865,18 +865,18 @@ mod tests {
             Bytes::from(vec![0u8; 10]),
             SendReqId(0),
         ));
-        assert!(w.has_non_data_work_for(NodeId(1)));
-        assert!(w.has_non_data_work_for(NodeId(2)));
-        assert!(!w.has_non_data_work_for(NodeId(3)));
+        assert!(w.indexed_ctrl_or_rdv(NodeId(1)));
+        assert!(w.indexed_ctrl_or_rdv(NodeId(2)));
+        assert!(!w.indexed_ctrl_or_rdv(NodeId(3)));
 
         // Draining node 1's grants empties its index entry.
         assert_eq!(w.drain_ctrl_for(NodeId(1)).len(), 2);
-        assert!(!w.has_non_data_work_for(NodeId(1)));
+        assert!(!w.indexed_ctrl_or_rdv(NodeId(1)));
         assert!(w.drain_ctrl_for(NodeId(1)).is_empty(), "indexed early-out");
 
         // Node 2 still has a grant and a rendezvous job.
         assert_eq!(w.drain_ctrl_for(NodeId(2)).len(), 1);
-        assert!(w.has_non_data_work_for(NodeId(2)), "rdv job still queued");
+        assert!(w.indexed_ctrl_or_rdv(NodeId(2)), "rdv job still queued");
         assert!(w.rdv_front_for(NodeId(2)).is_some());
         assert!(w.rdv_front_for(NodeId(1)).is_none());
 
@@ -884,10 +884,10 @@ mod tests {
         // final chunk removes both.
         let head = w.take_rdv_chunk(NodeId(2), 6).unwrap();
         assert!(!head.last);
-        assert!(w.has_non_data_work_for(NodeId(2)));
+        assert!(w.indexed_ctrl_or_rdv(NodeId(2)));
         let tail = w.take_rdv_chunk(NodeId(2), 100).unwrap();
         assert!(tail.last);
-        assert!(!w.has_non_data_work_for(NodeId(2)));
+        assert!(!w.indexed_ctrl_or_rdv(NodeId(2)));
         assert!(w.take_rdv_chunk(NodeId(2), 100).is_none());
         assert!(w.is_empty());
     }
@@ -1073,7 +1073,7 @@ mod failover_tests {
         assert!(w.index_is_consistent());
         assert_eq!(w.reclaim_dedicated(0), 2);
         assert!(w.index_is_consistent());
-        assert!(w.has_non_data_work_for(NodeId(1)));
+        assert!(w.indexed_ctrl_or_rdv(NodeId(1)));
         // The reclaimed segments lead the common list in order.
         let first = w.take_front_if(1, |_| true).unwrap();
         assert_eq!(first.tag, Tag(1));
@@ -1133,25 +1133,6 @@ mod failover_tests {
         assert_eq!(merged.dedicated_ref(3).len(), 1);
         assert_eq!(merged.common_ref().len(), 1);
         assert_eq!(merged.ctrl_ref().len(), 1);
-    }
-
-    #[test]
-    fn has_non_data_work_distinguishes_traffic_classes() {
-        let mut w = Window::new(1);
-        assert!(!w.has_non_data_work_for(NodeId(1)));
-        w.push_segment(wrapper(0, 8), None);
-        assert!(
-            !w.has_non_data_work_for(NodeId(1)),
-            "plain segments are credit-gated data"
-        );
-        w.push_ctrl(CtrlMsg {
-            dst: NodeId(1),
-            tag: Tag(0),
-            seq: SeqNo(0),
-            total: 10,
-        });
-        assert!(w.has_non_data_work_for(NodeId(1)));
-        assert!(!w.has_non_data_work_for(NodeId(2)), "per-destination");
     }
 }
 

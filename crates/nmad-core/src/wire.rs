@@ -34,7 +34,6 @@ const KIND_DATA: u8 = 1;
 const KIND_RTS: u8 = 2;
 const KIND_CTS: u8 = 3;
 const KIND_RDV_DATA: u8 = 4;
-const KIND_CREDIT: u8 = 5;
 
 /// Entry flag: this rendezvous chunk is the segment's last.
 pub const EF_LAST_CHUNK: u8 = 0b0000_0001;
@@ -60,8 +59,7 @@ pub struct EntryHeader {
     pub tag: Tag,
     /// Per-flow sequence number.
     pub seq: SeqNo,
-    /// Payload length (Data/RdvData), announced total (Rts/Cts), or
-    /// credit count (Credit).
+    /// Payload length (Data/RdvData) or announced total (Rts/Cts).
     pub len: u32,
     /// Byte offset within the full segment (RdvData only).
     pub offset: u32,
@@ -171,12 +169,6 @@ pub enum Entry<'a> {
         last: bool,
         /// Payload bytes.
         payload: &'a [u8],
-    },
-    /// Returns `count` eager-frame credits to the sender (flow
-    /// control; see `engine`).
-    Credit {
-        /// Number of credits returned.
-        count: u32,
     },
 }
 
@@ -313,11 +305,6 @@ impl FrameBuilder {
         self.buf.extend_from_slice(payload);
         self.payload_segs += 1;
         self.payload_bytes += payload.len();
-    }
-
-    /// Push credit.
-    pub fn push_credit(&mut self, count: u32) {
-        self.push_header(KIND_CREDIT, 0, 0, Tag(0), SeqNo(0), count, 0);
     }
 
     /// Entries pushed so far.
@@ -464,11 +451,6 @@ impl<'p> FrameEncoder<'p> {
         let flags = if last { EF_LAST_CHUNK } else { 0 };
         self.push_header(KIND_RDV_DATA, flags, 0, tag, seq, len, offset);
         self.push_payload(payload);
-    }
-
-    /// Push credit.
-    pub fn push_credit(&mut self, count: u32) {
-        self.push_header(KIND_CREDIT, 0, 0, Tag(0), SeqNo(0), count, 0);
     }
 
     /// Entries pushed so far.
@@ -633,7 +615,6 @@ pub fn parse_frame(bytes: &[u8]) -> Result<Vec<Entry<'_>>, WireError> {
                 seq: h.seq,
                 total: h.len,
             },
-            KIND_CREDIT => Entry::Credit { count: h.len },
             KIND_DATA | KIND_RDV_DATA => {
                 let payload = bytes
                     .get(at..at + h.len as usize)
@@ -783,22 +764,14 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_rejected() {
-        let mut fb = FrameBuilder::new();
-        fb.push_rts(Tag(1), SeqNo(0), 100);
-        let mut frame = fb.finish();
-        frame[FRAME_HEADER_LEN] = 42;
-        assert_eq!(parse_frame(&frame).unwrap_err(), WireError::BadKind(42));
-    }
-
-    #[test]
-    fn credit_entry_roundtrips() {
-        let mut fb = FrameBuilder::new();
-        fb.push_credit(3);
-        let frame = fb.finish();
-        assert_eq!(
-            parse_frame(&frame).unwrap(),
-            vec![Entry::Credit { count: 3 }]
-        );
+        // 5 is a retired kind (credit returns): refused like any other.
+        for kind in [42, 5] {
+            let mut fb = FrameBuilder::new();
+            fb.push_rts(Tag(1), SeqNo(0), 100);
+            let mut frame = fb.finish();
+            frame[FRAME_HEADER_LEN] = kind;
+            assert_eq!(parse_frame(&frame).unwrap_err(), WireError::BadKind(kind));
+        }
     }
 
     /// Pushes the same mixed entry sequence into both encoders.
@@ -816,8 +789,6 @@ mod tests {
         fe.push_rts(Tag(3), SeqNo(1), 512 * 1024);
         fb.push_rdv_data(Tag(9), SeqNo(4), 4096, true, p2);
         fe.push_rdv_data(Tag(9), SeqNo(4), 4096, true, p2);
-        fb.push_credit(2);
-        fe.push_credit(2);
     }
 
     #[test]
@@ -835,8 +806,8 @@ mod tests {
         let segs = iov.segments();
         assert_eq!(segs.len(), iov.segment_count());
         // Mixed frame: header block split around each payload —
-        // [hdr..cts..data-hdr][payload1][rts-hdr..rdv-hdr][payload2][credit-hdr]
-        assert_eq!(segs.len(), 5);
+        // [hdr..cts..data-hdr][payload1][rts-hdr..rdv-hdr][payload2]
+        assert_eq!(segs.len(), 4);
         let gathered: Vec<u8> = segs.concat();
         assert_eq!(gathered, reference, "gather iov must be wire-identical");
         parse_frame(&gathered).unwrap();
@@ -882,7 +853,6 @@ mod tests {
         let mut fe = FrameEncoder::new();
         fe.push_rts(Tag(1), SeqNo(0), 1 << 16);
         fe.push_cts(Tag(2), SeqNo(0), 1 << 16);
-        fe.push_credit(1);
         let iov = fe.finish();
         assert_eq!(iov.segment_count(), 1);
         assert_eq!(iov.segments().len(), 1);
@@ -904,12 +874,16 @@ mod tests {
         let stale = vec![0xAAu8; 128];
         let cap = stale.capacity();
         let mut fe = FrameEncoder::with_buffer(stale);
-        fe.push_credit(9);
+        fe.push_cts(Tag(9), SeqNo(0), 9);
         let iov = fe.finish();
         let gathered: Vec<u8> = iov.segments().concat();
         assert_eq!(
             parse_frame(&gathered).unwrap(),
-            vec![Entry::Credit { count: 9 }]
+            vec![Entry::Cts {
+                tag: Tag(9),
+                seq: SeqNo(0),
+                total: 9
+            }]
         );
         let recycled = iov.into_meta();
         assert!(recycled.capacity() >= cap.min(128));
@@ -923,7 +897,6 @@ mod tests {
             (KIND_RTS, 0),
             (KIND_CTS, 0),
             (KIND_RDV_DATA, EF_LAST_CHUNK),
-            (KIND_CREDIT, 0),
         ] {
             let h = EntryHeader {
                 kind,

@@ -314,6 +314,20 @@ fn row_metric(doc: &Json, section: &str, ident: &[&str], metric: &str) -> Vec<(S
         .collect()
 }
 
+/// The numbers of a named-value section (a JSON object such as
+/// `"speedups": {"name": 1.5}`), keyed `section:name`.
+fn named_values(doc: &Json, section: &str) -> Vec<(String, f64)> {
+    doc.get(section)
+        .and_then(Json::members)
+        .map(|members| {
+            members
+                .iter()
+                .filter_map(|(k, v)| v.as_f64().map(|f| (format!("{section}:{k}"), f)))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
 fn pair(
     base: Vec<(String, f64)>,
     cur: Vec<(String, f64)>,
@@ -376,17 +390,6 @@ fn extract_overlap(base: &Json, cur: &Json) -> Vec<Metric> {
 }
 
 fn extract_batch(base: &Json, cur: &Json) -> Vec<Metric> {
-    let speedups = |doc: &Json| -> Vec<(String, f64)> {
-        doc.get("speedups")
-            .and_then(Json::members)
-            .map(|members| {
-                members
-                    .iter()
-                    .filter_map(|(k, v)| v.as_f64().map(|f| (format!("speedups:{k}"), f)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
     // Both batched-vs-single ratios are dominated by how the OS
     // interleaves the submitting thread with the progression threads
     // — observed 5x to 30x (send burst) and 2.7x to 8x (recv burst)
@@ -395,15 +398,19 @@ fn extract_batch(base: &Json, cur: &Json) -> Vec<Metric> {
     // — so they are context, not gates. The wheel ratio measures
     // single-thread machinery the scheduler barely touches and gates
     // normally.
-    let mut out = pair(speedups(base), speedups(cur), |key| {
-        if key.contains("_vs_batch1") {
-            Gate::Context {
-                context_reason: "skipped (interference-bound)",
+    let mut out = pair(
+        named_values(base, "speedups"),
+        named_values(cur, "speedups"),
+        |key| {
+            if key.contains("_vs_batch1") {
+                Gate::Context {
+                    context_reason: "skipped (interference-bound)",
+                }
+            } else {
+                Gate::Gated(Better::Higher)
             }
-        } else {
-            Gate::Gated(Better::Higher)
-        }
-    });
+        },
+    );
     out.extend(pair(
         row_metric(base, "batch", &["bench", "variant"], "ns_per_op"),
         row_metric(cur, "batch", &["bench", "variant"], "ns_per_op"),
@@ -415,22 +422,15 @@ fn extract_batch(base: &Json, cur: &Json) -> Vec<Metric> {
 }
 
 fn extract_shards(base: &Json, cur: &Json) -> Vec<Metric> {
-    let scaling = |doc: &Json| -> Vec<(String, f64)> {
-        doc.get("scaling")
-            .and_then(Json::members)
-            .map(|members| {
-                members
-                    .iter()
-                    .filter_map(|(k, v)| v.as_f64().map(|f| (format!("scaling:{k}"), f)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
     // The scaling ratios come from deterministic virtual time, so they
     // gate strictly: a shard-count that stops paying for itself is a
     // real routing or steal-path change. The absolute MB/s rows repeat
     // the same information per point and are context.
-    let mut out = pair(scaling(base), scaling(cur), |_| Gate::Gated(Better::Higher));
+    let mut out = pair(
+        named_values(base, "scaling"),
+        named_values(cur, "scaling"),
+        |_| Gate::Gated(Better::Higher),
+    );
     out.extend(pair(
         row_metric(base, "shards", &["shards"], "throughput_mbs"),
         row_metric(cur, "shards", &["shards"], "throughput_mbs"),
@@ -460,20 +460,11 @@ fn extract_swarm(base: &Json, cur: &Json) -> Vec<Metric> {
         row_metric(cur, "swarm", &["connections"], "probe_events_per_ready"),
         |_| Gate::Gated(Better::Lower),
     ));
-    let probes = |doc: &Json| -> Vec<(String, f64)> {
-        doc.get("probes")
-            .and_then(Json::members)
-            .map(|members| {
-                members
-                    .iter()
-                    .filter_map(|(k, v)| v.as_f64().map(|f| (format!("probes:{k}"), f)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    out.extend(pair(probes(base), probes(cur), |_| {
-        Gate::Gated(Better::Lower)
-    }));
+    out.extend(pair(
+        named_values(base, "probes"),
+        named_values(cur, "probes"),
+        |_| Gate::Gated(Better::Lower),
+    ));
     for metric in ["accepts_per_sec", "ping_p50_us", "ping_p99_us"] {
         out.extend(pair(
             row_metric(base, "swarm", &["connections"], metric),
@@ -539,23 +530,14 @@ fn extract_tail(base: &Json, cur: &Json) -> Vec<Metric> {
             context_reason: "info (derived mean)",
         },
     ));
-    let map = |doc: &Json, section: &str| -> Vec<(String, f64)> {
-        doc.get(section)
-            .and_then(Json::members)
-            .map(|members| {
-                members
-                    .iter()
-                    .filter_map(|(k, v)| v.as_f64().map(|f| (format!("{section}:{k}"), f)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    out.extend(pair(map(base, "ratios"), map(cur, "ratios"), |_| {
-        scale_gate(Better::Higher)
-    }));
     out.extend(pair(
-        map(base, "throughput"),
-        map(cur, "throughput"),
+        named_values(base, "ratios"),
+        named_values(cur, "ratios"),
+        |_| scale_gate(Better::Higher),
+    ));
+    out.extend(pair(
+        named_values(base, "throughput"),
+        named_values(cur, "throughput"),
         |_| Gate::Context {
             context_reason: "info (absolute of gated ratio)",
         },
