@@ -1,6 +1,6 @@
 //! Hot-path batching benchmark (`BENCH_batch.json`).
 //!
-//! Three scenarios, each measuring the *fixed* per-operation cost the
+//! Two scenarios, each measuring the *fixed* per-operation cost the
 //! engine's own machinery adds — the overhead the paper's §4 latency
 //! figures require to stay negligible:
 //!
@@ -19,14 +19,11 @@
 //!   per-op cost adds payload handling and, on small hosts, the
 //!   progression thread's processing interleaves with submission, so
 //!   the batching gain is diluted relative to `submit_overhead`.
-//! * **sim_events_10k** — a 10 000-flow discrete-event workload (every
-//!   pop schedules a successor, the simulator's steady state) run
-//!   through the old `BinaryHeap` event queue and the timer wheel that
-//!   replaced it ([`nmad_sim::TimerWheel`]), per event.
 //!
 //! The derived `speedups` section records baseline/variant ratios; the
-//! perf-gate CI job diffs them against `BENCH_baseline/` and fails the
-//! build if they regress.
+//! perf-gate CI job prints them next to `BENCH_baseline/` as context,
+//! since both are two-thread wall-clock races (see `extract_batch` in
+//! xtask's bench-diff).
 //!
 //! Run: `cargo run --release -p bench --bin batch [-- --quick]`
 
@@ -36,15 +33,12 @@ use bench::{median, BatchReport, BatchRow, Table, BENCH_BATCH_JSON_PATH};
 use nmad_core::prelude::*;
 use nmad_net::mem::mem_fabric;
 use nmad_net::{MemDriver, NullMeter};
-use nmad_sim::{HeapQueue, NodeId, SimTime, TimerWheel};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use nmad_sim::NodeId;
 
 /// Sends submitted per timed burst.
 const BURST: usize = 256;
 /// Ops per flush on the batched variant.
 const FLUSH_EVERY: usize = 32;
-/// Concurrent flows in the event-queue scenario.
-const FLOWS: usize = 10_000;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -102,31 +96,6 @@ fn main() {
         });
     }
     report.record_speedup("send_batch32_vs_batch1", send_speedup);
-
-    // --- sim_events_10k: event queue under a pop-and-reschedule load ---
-    let steps = if quick { 100_000u64 } else { 400_000 };
-    let heap_ns = event_queue_ns(HeapQueue::new, steps, reps);
-    let wheel_ns = event_queue_ns(TimerWheel::new, steps, reps);
-    let wheel_speedup = heap_ns / wheel_ns.max(f64::EPSILON);
-    for (variant, ns, speedup) in [
-        ("heap", heap_ns, String::new()),
-        ("wheel", wheel_ns, format!("{wheel_speedup:.2}x")),
-    ] {
-        table.row(vec![
-            "sim_events_10k".to_string(),
-            variant.to_string(),
-            format!("{ns:.1}"),
-            steps.to_string(),
-            speedup,
-        ]);
-        report.record(BatchRow {
-            bench: "sim_events_10k".to_string(),
-            variant: variant.to_string(),
-            ns_per_op: ns,
-            ops: steps,
-        });
-    }
-    report.record_speedup("wheel_vs_heap_10k_flows", wheel_speedup);
 
     table.print();
     report.write(&json);
@@ -229,64 +198,6 @@ fn submit_send(batched: bool, reps: usize) -> f64 {
         let _ = sink_h.wait_recvs(&recvs);
         if rep > 0 {
             per_op.push(elapsed.as_nanos() as f64 / BURST as f64);
-        }
-    }
-    median(&per_op)
-}
-
-/// One queue API both event-queue variants implement.
-trait EventQueue {
-    fn push(&mut self, t: SimTime);
-    fn pop_earliest(&mut self) -> Option<SimTime>;
-}
-
-impl EventQueue for HeapQueue {
-    fn push(&mut self, t: SimTime) {
-        HeapQueue::push(self, t)
-    }
-    fn pop_earliest(&mut self) -> Option<SimTime> {
-        HeapQueue::pop_earliest(self)
-    }
-}
-
-impl EventQueue for TimerWheel {
-    fn push(&mut self, t: SimTime) {
-        TimerWheel::push(self, t)
-    }
-    fn pop_earliest(&mut self) -> Option<SimTime> {
-        TimerWheel::pop_earliest(self)
-    }
-}
-
-/// Median ns per event over `reps` runs of the 10k-flow workload:
-/// seed FLOWS events, then `steps` pop-and-reschedule iterations (the
-/// queue holds ~FLOWS events throughout), then drain. The seeds and
-/// increments are pregenerated so the clock covers only queue
-/// operations, not the rng that drives them — that cost is identical
-/// for both variants and would dilute the ratio between them. Each
-/// rep gets a fresh queue: a reused wheel's cursor sits at the
-/// previous run's horizon, which is not the state the simulator
-/// starts from.
-fn event_queue_ns<Q: EventQueue>(fresh: impl Fn() -> Q, steps: u64, reps: usize) -> f64 {
-    let mut per_op = Vec::with_capacity(reps);
-    for rep in 0..=reps {
-        let mut rng = StdRng::seed_from_u64(0xBA7C ^ rep as u64);
-        let seeds: Vec<u64> = (0..FLOWS).map(|_| rng.gen_range(0..1_000_000u64)).collect();
-        let incs: Vec<u64> = (0..steps).map(|_| rng.gen_range(1..10_000u64)).collect();
-        let mut queue = fresh();
-        let t0 = Instant::now();
-        for &s in &seeds {
-            queue.push(SimTime::from_ns(s));
-        }
-        for &inc in &incs {
-            let t = queue.pop_earliest().expect("queue drained early");
-            queue.push(SimTime::from_ns(std::hint::black_box(t).as_ns() + inc));
-        }
-        while let Some(t) = queue.pop_earliest() {
-            std::hint::black_box(t);
-        }
-        if rep > 0 {
-            per_op.push(t0.elapsed().as_nanos() as f64 / steps as f64);
         }
     }
     median(&per_op)

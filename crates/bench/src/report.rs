@@ -311,17 +311,15 @@ impl OverlapReport {
 /// binary); `--json PATH` overrides it.
 pub const BENCH_BATCH_JSON_PATH: &str = "BENCH_batch.json";
 
-/// One measurement of the batching benchmark: one variant (e.g.
-/// `batch=1` vs `batch=32` submission, or `heap` vs `wheel` event
-/// queue) of one scenario.
+/// One measurement of the batching benchmark: one variant (`batch=1`
+/// or `batch=32` submission) of one scenario.
 #[derive(Clone, Debug)]
 pub struct BatchRow {
-    /// Scenario, e.g. `submit_overhead` or `sim_events_10k`.
+    /// Scenario: `submit_overhead` or `submit_send`.
     pub bench: String,
-    /// Variant within the scenario, e.g. `batch1`, `batch32`, `heap`,
-    /// `wheel`.
+    /// Variant within the scenario: `batch1` or `batch32`.
     pub variant: String,
-    /// Cost per operation (per submitted op, per event), nanoseconds.
+    /// Cost per submitted operation, nanoseconds.
     pub ns_per_op: f64,
     /// Operations measured.
     pub ops: u64,

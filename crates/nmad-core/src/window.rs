@@ -230,7 +230,7 @@ impl Window {
             }
         }
         // Comparing against a sorted expectation also proves the live
-        // deques are sorted, which the O(1) oldest queries rely on.
+        // deques are sorted, which `global_oldest_in_lane` relies on.
         self.lane_counts == expect_lanes
             && self.index.len() == expect.len()
             && self
@@ -463,36 +463,6 @@ impl Window {
     }
 
     // --- lane queries (tail-aware strategies) ---
-
-    /// Submission-order stamp of the oldest queued segment towards
-    /// `dst` on `lane`, in O(1) via the lane index.
-    pub fn oldest_in_lane(&self, dst: NodeId, lane: u8) -> Option<u64> {
-        self.index
-            .get(&dst)?
-            .lanes
-            .get(lane as usize)?
-            .front()
-            .copied()
-    }
-
-    /// Oldest stamp per lane towards `dst` (one O(1) lookup per lane).
-    pub fn oldest_per_lane(&self, dst: NodeId) -> [Option<u64>; NUM_LANES] {
-        let mut out = [None; NUM_LANES];
-        if let Some(counts) = self.index.get(&dst) {
-            for (slot, q) in out.iter_mut().zip(&counts.lanes) {
-                *slot = q.front().copied();
-            }
-        }
-        out
-    }
-
-    /// Queued segments towards `dst` on `lane`, in O(1).
-    pub fn lane_pending(&self, dst: NodeId, lane: u8) -> usize {
-        self.index
-            .get(&dst)
-            .and_then(|c| c.lanes.get(lane as usize))
-            .map_or(0, VecDeque::len)
-    }
 
     /// Queued segments on `lane` across every destination, in O(1).
     pub fn lane_depth(&self, lane: u8) -> usize {
@@ -912,26 +882,21 @@ mod tests {
         w.push_segment(lane_wrapper(2, 0, 12), None);
         w.push_segment(lane_wrapper(1, 0, 13), None);
 
-        assert_eq!(w.oldest_in_lane(NodeId(1), 0), Some(11));
-        assert_eq!(w.oldest_in_lane(NodeId(1), 2), Some(10));
-        assert_eq!(w.oldest_in_lane(NodeId(1), 3), None);
-        assert_eq!(w.oldest_in_lane(NodeId(9), 0), None);
+        let oldest: Vec<_> = (0..NUM_LANES as u8)
+            .map(|lane| w.global_oldest_in_lane(lane))
+            .collect();
         assert_eq!(
-            w.oldest_per_lane(NodeId(1)),
-            [Some(11), None, Some(10), None]
+            oldest,
+            [Some((NodeId(1), 11)), None, Some((NodeId(1), 10)), None]
         );
-        assert_eq!(w.lane_pending(NodeId(1), 0), 2);
         assert_eq!(w.lane_depth(0), 3);
         assert_eq!(w.lane_depth(1), 0);
-        assert_eq!(w.global_oldest_in_lane(0), Some((NodeId(1), 11)));
-        assert_eq!(w.global_oldest_in_lane(1), None);
         assert_eq!(w.order_horizon(), 14);
         assert!(w.index_is_consistent());
 
         // Taking the dedicated Urgent segment re-points the oldest.
         let got = w.take_first_matching(1, |s| s.order == 11).unwrap();
         assert_eq!(got.order, 11);
-        assert_eq!(w.oldest_in_lane(NodeId(1), 0), Some(13));
         assert_eq!(w.global_oldest_in_lane(0), Some((NodeId(2), 12)));
         assert!(w.index_is_consistent());
 
@@ -950,11 +915,11 @@ mod tests {
         w.push_segment(lane_wrapper(1, 0, 6), None);
         // Failover requeue: order 4 was scheduled before either.
         w.push_segment_front(lane_wrapper(1, 0, 4));
-        assert_eq!(w.oldest_in_lane(NodeId(1), 0), Some(4));
+        assert_eq!(w.global_oldest_in_lane(0), Some((NodeId(1), 4)));
         assert!(w.index_is_consistent());
         let first = w.take_front_if(0, |_| true).unwrap();
         assert_eq!(first.order, 4);
-        assert_eq!(w.oldest_in_lane(NodeId(1), 0), Some(5));
+        assert_eq!(w.global_oldest_in_lane(0), Some((NodeId(1), 5)));
         assert!(w.index_is_consistent());
     }
 
@@ -965,8 +930,8 @@ mod tests {
         w.push_segment(lane_wrapper(1, 3, 2), None);
         let donated = w.pop_common_back().unwrap();
         assert_eq!(donated.order, 2);
-        assert_eq!(w.lane_pending(NodeId(1), 3), 1);
-        assert_eq!(w.oldest_in_lane(NodeId(1), 3), Some(1));
+        assert_eq!(w.lane_depth(3), 1);
+        assert_eq!(w.global_oldest_in_lane(3), Some((NodeId(1), 1)));
         assert!(w.index_is_consistent());
     }
 

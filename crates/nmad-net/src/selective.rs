@@ -172,12 +172,9 @@ impl<D: Driver> SelectiveDriver<D> {
 
     fn handle_data(&mut self, src: NodeId, seq: u32, payload: Bytes) {
         let peer = self.peers.entry(src).or_default();
-        peer.owed_acks.push(seq);
         if seq < peer.next_rx_seq || peer.out_of_order.contains_key(&seq) {
             self.stats.duplicates_dropped += 1;
-            return;
-        }
-        if seq == peer.next_rx_seq {
+        } else if seq == peer.next_rx_seq {
             peer.next_rx_seq += 1;
             self.rx_ready.push_back(RxFrame { src, payload });
             while let Some(p) = peer.out_of_order.remove(&peer.next_rx_seq) {
@@ -186,7 +183,12 @@ impl<D: Driver> SelectiveDriver<D> {
             }
         } else if peer.out_of_order.len() < REORDER_WINDOW {
             peer.out_of_order.insert(seq, payload);
+        } else {
+            // Reorder buffer full: drop the frame unacknowledged, so
+            // the sender's timer resends it.
+            return;
         }
+        peer.owed_acks.push(seq);
     }
 }
 
@@ -478,6 +480,46 @@ mod tests {
             gaps.last().expect("gaps") > gaps.first().expect("gaps"),
             "backoff must actually grow: {gaps:?}"
         );
+    }
+
+    #[test]
+    fn frames_dropped_by_a_full_reorder_buffer_are_resent() {
+        let mut fabric = mem_fabric(2);
+        let b_raw = fabric.pop().expect("pair");
+        let mut a_raw = fabric.pop().expect("pair");
+        // The mem fabric's fault clock counts posted frames: this drops
+        // the first data frame and nothing else.
+        assert!(a_raw.install_faults(FaultPlan::new(0).link_down(0, 1)));
+        let (ta, clk_a) = test_clock();
+        let (_, clk_b) = test_clock();
+        let mut a = SelectiveDriver::new(a_raw, clk_a, None, 1_000_000);
+        let mut b = SelectiveDriver::new(b_raw, clk_b, None, 1_000_000);
+        let n = (REORDER_WINDOW + 100) as u32;
+        let sends: Vec<SendHandle> = (0..n)
+            .map(|i| a.post_send(NodeId(1), &[&i.to_le_bytes()]).unwrap())
+            .collect();
+        // One receiver pump before any timer fires: seq 0 is missing,
+        // seqs 1..=REORDER_WINDOW fill the buffer and the rest do not
+        // fit. Only the buffered frames may count as delivered.
+        b.pump().unwrap();
+        let done = sends.iter().filter(|&&h| a.test_send(h).unwrap()).count();
+        assert_eq!(done, REORDER_WINDOW);
+        let mut got = Vec::new();
+        for _ in 0..100 {
+            ta.fetch_add(1_000_000, Ordering::Relaxed);
+            a.pump().unwrap();
+            b.pump().unwrap();
+            while let Some(f) = b.poll_recv().unwrap() {
+                got.push(u32::from_le_bytes(f.payload[..4].try_into().unwrap()));
+            }
+            if got.len() == n as usize {
+                break;
+            }
+        }
+        assert_eq!(got, (0..n).collect::<Vec<u32>>());
+        for h in sends {
+            assert!(a.test_send(h).unwrap());
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! Layering:
 //!
 //! * [`time`] — integer-nanosecond virtual instants and durations;
-//! * [`events`] — hierarchical timer wheel backing the wakeup queue;
 //! * [`hash`] — the fast hasher for tables keyed by values the process
 //!   chooses (shared with the engine and drivers);
 //! * [`nic`] — calibrated per-technology NIC models;
@@ -29,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod hash;
 pub mod host;
 pub mod nic;
@@ -40,7 +38,6 @@ pub mod topo;
 pub mod trace;
 pub mod world;
 
-pub use events::{HeapQueue, TimerWheel};
 pub use hash::{FxHashMap, FxHashSet};
 pub use host::{HostModel, SoftwareCosts};
 pub use nic::NicModel;

@@ -26,7 +26,6 @@ use std::sync::Arc;
 
 use crossbeam::sync::{AtomicU64, Ordering};
 
-use crate::events::TimerWheel;
 use crate::hash::FxHashMap;
 use crate::host::HostModel;
 use crate::nic::NicModel;
@@ -174,7 +173,10 @@ pub struct SimWorld {
     rails: Vec<NicModel>,
     nodes: Vec<NodeState>,
     next_seq: u64,
-    wakeups: TimerWheel,
+    /// Instants [`advance`](Self::advance) may stop at, earliest
+    /// first. Duplicates and instants at or before `now` are skipped
+    /// when popped.
+    wakeups: BinaryHeap<Reverse<SimTime>>,
     stats: WorldStats,
     trace: Option<Trace>,
     ready: Arc<Readiness>,
@@ -199,7 +201,7 @@ impl SimWorld {
             rails: config.rails,
             nodes,
             next_seq: 0,
-            wakeups: TimerWheel::new(),
+            wakeups: BinaryHeap::new(),
             stats: WorldStats {
                 per_rail_bytes: vec![0; rail_count],
                 ..WorldStats::default()
@@ -288,7 +290,7 @@ impl SimWorld {
         let start = state.cpu_free_at.max(self.now);
         state.cpu_free_at = start + dur;
         let free_at = state.cpu_free_at;
-        self.wakeups.push(free_at);
+        self.wakeups.push(Reverse(free_at));
         self.stats.cpu_charges += 1;
         self.stats.cpu_time += dur;
         self.record(TraceEvent::CpuCharge { node, dur });
@@ -449,8 +451,8 @@ impl SimWorld {
             self.publish_rx(dst, rail);
         }
 
-        self.wakeups.push(tx_end);
-        self.wakeups.push(deliver_at);
+        self.wakeups.push(Reverse(tx_end));
+        self.wakeups.push(Reverse(deliver_at));
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += bytes as u64;
         self.stats.per_rail_bytes[rail.index()] += bytes as u64;
@@ -513,7 +515,7 @@ impl SimWorld {
     /// flush-on-threshold strategies).
     pub fn schedule_wakeup(&mut self, t: SimTime) {
         if t > self.now {
-            self.wakeups.push(t);
+            self.wakeups.push(Reverse(t));
         }
     }
 
@@ -522,7 +524,7 @@ impl SimWorld {
     /// (every queue drained — quiescence or deadlock, the caller knows
     /// which from its own state).
     pub fn advance(&mut self) -> Option<SimTime> {
-        while let Some(t) = self.wakeups.pop_earliest() {
+        while let Some(Reverse(t)) = self.wakeups.pop() {
             if t > self.now {
                 self.now = t;
                 self.ready.now_ns.store(t.as_ns(), Ordering::Release);
@@ -693,6 +695,27 @@ mod tests {
         // more wakeup; after draining it the world is quiescent.
         while w.advance().is_some() {}
         assert!(w.advance().is_none());
+    }
+
+    #[test]
+    fn advance_visits_each_scheduled_instant_once() {
+        let mut w = world();
+        // Out of order, duplicated, and one instant 600 s ahead.
+        let far = 600_000_000_000;
+        for t in [5_000, 1_000, 2_000, far, 1_000, 5_000, 2_000] {
+            w.schedule_wakeup(SimTime::from_ns(t));
+        }
+        let mut visited = Vec::new();
+        while let Some(t) = w.advance() {
+            visited.push(t.as_ns());
+            // A wakeup at `now` must not stop the clock again.
+            w.schedule_wakeup(t);
+            if t.as_ns() == 1_000 {
+                // Scheduled between pending instants, after a pop.
+                w.schedule_wakeup(SimTime::from_ns(1_500));
+            }
+        }
+        assert_eq!(visited, [1_000, 1_500, 2_000, 5_000, far]);
     }
 
     #[test]
