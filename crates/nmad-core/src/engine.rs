@@ -138,6 +138,12 @@ impl EngineConfig {
     }
 
     /// `shards` progression shards.
+    ///
+    /// Every peer this node talks to must run the same shard count:
+    /// routing is static, so a frame lands on the shard with the rail's
+    /// index and must carry only flows that shard owns. A frame that
+    /// breaks this fails with [`NetError::Protocol`](nmad_net::NetError)
+    /// instead of being delivered to the wrong shard.
     pub fn sharded(shards: usize) -> Self {
         assert!(shards > 0, "a sharded runtime needs at least one shard");
         EngineConfig { shards }
@@ -244,10 +250,6 @@ enum TxDone {
     Unit(SendReqId),
     /// `bytes` of a rendezvous segment left the host.
     RdvBytes { key: RdvKey, bytes: usize },
-    /// A donated segment of another shard's request left the host; the
-    /// completion must travel back to the victim shard that owns the
-    /// request (this engine has no record of it).
-    Foreign { req: SendReqId, victim: usize },
 }
 
 struct RdvTx {
@@ -312,11 +314,6 @@ struct InflightFrame {
     /// (gather DMA pins them until completion); recycled through the
     /// pool when `test_send` reports done.
     bufs: Vec<Vec<u8>>,
-    /// `Some(victim)` when this is a spool frame carrying another
-    /// shard's donated segment: a rail fault returns the segment to
-    /// the spool (never to this engine's window, which does not own
-    /// the flow).
-    foreign: Option<usize>,
 }
 
 struct NicState {
@@ -355,17 +352,6 @@ pub struct NmadEngine {
     /// Shard identity when this engine is one shard of a sharded
     /// runtime; `None` for a monolithic engine.
     route: Option<ShardRoute>,
-    /// Received frames owned by another shard (stolen traffic arrives
-    /// on the thief's rails); the runtime forwards them to the owner's
-    /// [`NmadEngine::inject_frame`].
-    foreign_rx: Vec<(usize, NodeId, Bytes, bool)>,
-    /// Donated eager segments accepted from other shards, each tagged
-    /// with the victim shard that owns the request. Transmitted as
-    /// standalone spool frames by the refill loop.
-    spool: VecDeque<(PackWrapper, usize)>,
-    /// Completions of transmitted spool frames, awaiting forwarding to
-    /// their victim shard.
-    spool_done: Vec<(SendReqId, usize)>,
     /// Unexpected-queue depth at which the engine signals receive-side
     /// backpressure to its drivers ([`Driver::set_rx_backpressure`]).
     rx_saturation_cap: usize,
@@ -424,9 +410,6 @@ impl NmadEngine {
             metrics: EngineMetrics::default(),
             pool: FramePool::new(64),
             route: None,
-            foreign_rx: Vec::new(),
-            spool: VecDeque::new(),
-            spool_done: Vec::new(),
             rx_saturation_cap: DEFAULT_RX_SATURATION_CAP,
             rx_backpressured: false,
         }
@@ -698,34 +681,30 @@ impl NmadEngine {
         }
     }
 
-    /// The flow tag a frame should be routed by: the tag of its first
-    /// entry. `None` only for an empty frame, which no engine sends.
-    fn frame_flow_tag(entries: &[Entry]) -> Option<Tag> {
-        entries.first().map(|e| match e {
-            Entry::Data { tag, .. }
-            | Entry::Rts { tag, .. }
-            | Entry::Cts { tag, .. }
-            | Entry::RdvData { tag, .. } => *tag,
-        })
-    }
-
     fn handle_frame(&mut self, src: NodeId, frame: &Bytes, rx_zero_copy: bool) -> NetResult<()> {
         let entries = parse_frame(frame).map_err(|e| {
             nmad_net::NetError::Protocol(format!("malformed frame from {src}: {e}"))
         })?;
-        // Sharded runtime: a frame for a flow another shard owns (a
-        // spool frame a thief transmitted on its own rails) is handed
-        // to the runtime untouched; it reaches the owner through
-        // [`NmadEngine::inject_frame`].
-        if let Some(route) = self.route {
-            if route.shards > 1 {
-                if let Some(tag) = Self::frame_flow_tag(&entries) {
-                    let owner = route.owner(self.node, src, tag);
-                    if owner != route.shard {
-                        self.foreign_rx
-                            .push((owner, src, frame.clone(), rx_zero_copy));
-                        return Ok(());
-                    }
+        // Sharded runtime: both ends of a link run the same shard count,
+        // so every flow a frame carries belongs to the shard whose rail
+        // received it. Check every entry before applying any: a peer
+        // with another count can aggregate flows of several shards into
+        // one frame, and those entries must fail loudly rather than
+        // land in this shard's matching state.
+        if let Some(route) = self.route.filter(|r| r.shards > 1) {
+            for entry in &entries {
+                let (Entry::Data { tag, .. }
+                | Entry::Rts { tag, .. }
+                | Entry::Cts { tag, .. }
+                | Entry::RdvData { tag, .. }) = *entry;
+                let owner = route.owner(self.node, src, tag);
+                if owner != route.shard {
+                    return Err(nmad_net::NetError::Protocol(format!(
+                        "frame from {src} carries {tag:?}, owned by shard {owner}, \
+                         on shard {} of {}: both ends of a link must run the same \
+                         shard count",
+                        route.shard, route.shards
+                    )));
                 }
             }
         }
@@ -815,11 +794,6 @@ impl NmadEngine {
         for done in dones {
             match done {
                 TxDone::Unit(req) => self.complete_send_part(req),
-                TxDone::Foreign { req, victim } => {
-                    // Not our request: park the completion for the
-                    // runtime to forward to the owning (victim) shard.
-                    self.spool_done.push((req, victim));
-                }
                 TxDone::RdvBytes { key, bytes } => {
                     // An untracked rendezvous key is a driver protocol
                     // bug; drop the stray completion in release.
@@ -976,64 +950,9 @@ impl NmadEngine {
             dones,
             plan,
             bufs,
-            foreign: None,
         });
         self.stats.frames_sent += 1;
         Ok(())
-    }
-
-    /// Posts one donated segment as a standalone spool frame: a single
-    /// data entry. Returns `false` when the NIC refused (marked dead,
-    /// segment back on the spool).
-    fn post_spool_frame(
-        &mut self,
-        nic_idx: usize,
-        wrapper: PackWrapper,
-        victim: usize,
-    ) -> NetResult<bool> {
-        let mut fe = FrameEncoder::with_buffer(self.pool.take(&mut self.metrics));
-        fe.push_data_lane(
-            wrapper.tag,
-            wrapper.seq,
-            wrapper.priority.lane(),
-            &wrapper.data,
-        );
-        self.meter
-            .charge_ns(self.costs.scheduler_inspect_ns + self.costs.per_entry_ns);
-        let iov = fe.finish();
-        let posted = self.nics[nic_idx]
-            .driver
-            .post_send(wrapper.dst, &iov.segments());
-        let meta = iov.into_meta();
-        let handle = match posted {
-            Ok(handle) => handle,
-            Err(nmad_net::NetError::Closed) => {
-                self.pool.put(meta);
-                self.nics[nic_idx].dead = true;
-                self.metrics.rail_faults += 1;
-                self.spool.push_front((wrapper, victim));
-                self.reclaim_rail(nic_idx);
-                return Ok(false);
-            }
-            Err(e) => {
-                self.pool.put(meta);
-                return Err(e);
-            }
-        };
-        let dst = wrapper.dst;
-        let req = wrapper.req;
-        let mut plan = FramePlan::new(dst);
-        plan.entries.push(PlanEntry::Data(wrapper));
-        self.nics[nic_idx].inflight.push_back(InflightFrame {
-            handle,
-            dones: vec![TxDone::Foreign { req, victim }],
-            plan,
-            bufs: vec![meta],
-            foreign: Some(victim),
-        });
-        self.stats.frames_sent += 1;
-        self.stats.data_entries += 1;
-        Ok(true)
     }
 
     /// Returns a plan's work to the window after a NIC failure, in an
@@ -1060,18 +979,7 @@ impl NmadEngine {
                 self.pool.put(buf);
             }
             self.metrics.requeued_entries += frame.plan.entries.len() as u64;
-            if let Some(victim) = frame.foreign {
-                // A stranded spool frame goes back to the spool, never
-                // into this engine's window — the flow belongs to the
-                // victim shard.
-                for entry in frame.plan.entries {
-                    if let PlanEntry::Data(w) = entry {
-                        self.spool.push_front((w, victim));
-                    }
-                }
-            } else {
-                self.requeue_plan(frame.plan);
-            }
+            self.requeue_plan(frame.plan);
         }
         self.metrics.requeued_entries += self.window.reclaim_dedicated(nic_idx) as u64;
         self.strategy.on_rail_fault(nic_idx);
@@ -1161,22 +1069,6 @@ impl NmadEngine {
             return Err(nmad_net::NetError::Closed);
         }
         for i in 0..self.nics.len() {
-            // Donated segments first: the whole point of a steal is to
-            // put this shard's idle NICs to work on them. The spool
-            // check leads the chain: it is empty outside a steal, and
-            // `tx_idle` is a driver call (a fabric lock on mem) the
-            // common pump should not pay.
-            // PANIC-OK: i < nics.len() loop bound
-            while !self.spool.is_empty() && !self.nics[i].dead && self.nics[i].driver.tx_idle() {
-                let Some((wrapper, victim)) = self.spool.pop_front() else {
-                    break;
-                };
-                if self.post_spool_frame(i, wrapper, victim)? {
-                    any = true;
-                } else {
-                    break;
-                }
-            }
             loop {
                 // The engine's own state first: an empty window needs
                 // no driver call.
@@ -1262,9 +1154,6 @@ impl NmadEngine {
             || !self.rdv_wait_cts.is_empty()
             || !self.rdv_tx.is_empty()
             || self.nics.iter().any(|n| !n.inflight.is_empty())
-            || !self.spool.is_empty()
-            || !self.spool_done.is_empty()
-            || !self.foreign_rx.is_empty()
     }
 
     /// True when the transmit side is fully drained: no pending sends,
@@ -1279,8 +1168,6 @@ impl NmadEngine {
             && self.rdv_wait_cts.is_empty()
             && self.rdv_tx.is_empty()
             && self.nics.iter().all(|n| n.inflight.is_empty())
-            && self.spool.is_empty()
-            && self.spool_done.is_empty()
     }
 
     /// True when the optimization window's per-destination index
@@ -1303,97 +1190,6 @@ impl NmadEngine {
         self.next_req = next;
     }
 
-    // --- sharded runtime support (see `crate::threaded` and
-    // --- `crate::steal`) ---
-
-    /// This engine's shard identity, when it is one shard of a sharded
-    /// runtime.
-    pub fn shard_route(&self) -> Option<ShardRoute> {
-        self.route
-    }
-
-    /// Donated eager segments accepted from other shards, not yet
-    /// transmitted. Exposed for the runtime's steal bookkeeping.
-    pub fn spool_depth(&self) -> usize {
-        self.spool.len()
-    }
-
-    /// How many eager segments this shard could donate right now: the
-    /// common-list backlog (dedicated and rendezvous work never moves
-    /// — it is rail- or handshake-bound).
-    pub fn donation_backlog(&self) -> usize {
-        self.window.common_ref().len()
-    }
-
-    /// Takes up to `max` eager segments off the *back* of the common
-    /// list for donation to an idle shard. Only small segments move
-    /// (≤ [`NmadEngine::MAX_DONATION_BYTES`]).
-    pub fn donate_eager(&mut self, max: usize) -> Vec<PackWrapper> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            let Some(back) = self.window.common_back() else {
-                break;
-            };
-            if back.len() > Self::MAX_DONATION_BYTES {
-                break;
-            }
-            let Some(wrapper) = self.window.pop_common_back() else {
-                break;
-            };
-            out.push(wrapper);
-        }
-        out
-    }
-
-    /// Largest segment the steal path will donate. Bounds spool frames
-    /// well under any MTU and keeps steals cheap to undo.
-    pub const MAX_DONATION_BYTES: usize = 16 * 1024;
-
-    /// Returns a donated segment this shard could not place (the thief
-    /// departed): the segment re-enters the window front.
-    pub fn undonate(&mut self, wrapper: PackWrapper) {
-        self.window.push_segment_front(wrapper);
-    }
-
-    /// Accepts segments donated by shard `victim`; the refill loop
-    /// transmits them as standalone spool frames.
-    pub fn accept_donations(&mut self, victim: usize, wrappers: Vec<PackWrapper>) {
-        for w in wrappers {
-            self.spool.push_back((w, victim));
-        }
-    }
-
-    /// Drains transmit completions of spool frames, each tagged with
-    /// the victim shard that owns the request. The runtime forwards
-    /// them to [`NmadEngine::complete_foreign_done`] on that shard.
-    pub fn drain_spool_done(&mut self) -> Vec<(SendReqId, usize)> {
-        std::mem::take(&mut self.spool_done)
-    }
-
-    /// Applies the completion of a donated segment a thief transmitted
-    /// on this shard's behalf.
-    pub fn complete_foreign_done(&mut self, req: SendReqId) {
-        self.complete_send_part(req);
-    }
-
-    /// Drains received frames owned by other shards (stolen traffic
-    /// arrives on the thief's rails), each tagged with the owner shard
-    /// index. The runtime routes each to its owner's
-    /// [`NmadEngine::inject_frame`].
-    pub fn drain_foreign_rx(&mut self) -> Vec<(usize, NodeId, Bytes, bool)> {
-        std::mem::take(&mut self.foreign_rx)
-    }
-
-    /// Processes a frame another shard received on this shard's
-    /// behalf, then recycles the buffer if nothing retained a slice.
-    pub fn inject_frame(&mut self, src: NodeId, frame: Bytes, rx_zero_copy: bool) -> NetResult<()> {
-        self.handle_frame(src, &frame, rx_zero_copy)?;
-        if let Ok(buf) = frame.try_unwrap() {
-            self.pool.put(buf);
-        }
-        Ok(())
-    }
-
     /// Splits this engine into `shards` independent shard engines:
     /// rail `r` goes to shard `r % shards`, and every flow-keyed
     /// structure (window, matching, sequence allocators, rendezvous
@@ -1410,7 +1206,7 @@ impl NmadEngine {
             self.nics.len()
         );
         assert!(
-            self.tx_quiescent() && self.foreign_rx.is_empty(),
+            self.tx_quiescent(),
             "split_for_shards requires a quiescent transmit side"
         );
         let node = self.node;
@@ -1476,9 +1272,6 @@ impl NmadEngine {
                     shards,
                     policy,
                 }),
-                foreign_rx: Vec::new(),
-                spool: VecDeque::new(),
-                spool_done: Vec::new(),
                 rx_saturation_cap: self.rx_saturation_cap,
                 rx_backpressured: self.rx_backpressured,
             });
@@ -1491,7 +1284,7 @@ impl NmadEngine {
     /// rails re-interleave to their original indices, windows and
     /// matching states merge, counters aggregate (sums; the window
     /// high-water mark takes the deepest shard). Every shard must be
-    /// transmit-quiescent with an empty spool.
+    /// transmit-quiescent.
     pub fn merge_shards(parts: Vec<NmadEngine>) -> NmadEngine {
         assert!(!parts.is_empty(), "cannot merge zero shard engines");
         let shards = parts.len();
@@ -1503,7 +1296,7 @@ impl NmadEngine {
         for part in &parts {
             assert_eq!(part.node, node, "shards of different nodes");
             assert!(
-                part.tx_quiescent() && part.foreign_rx.is_empty(),
+                part.tx_quiescent(),
                 "merge_shards requires quiescent shards"
             );
         }
@@ -1580,9 +1373,6 @@ impl NmadEngine {
             metrics,
             pool: pool.expect("shard 0 present"),
             route: None,
-            foreign_rx: Vec::new(),
-            spool: VecDeque::new(),
-            spool_done: Vec::new(),
             rx_saturation_cap,
             rx_backpressured,
         }

@@ -57,7 +57,6 @@ pub mod matching;
 pub mod metrics;
 pub mod ring;
 pub mod segment;
-pub mod steal;
 pub mod strategy;
 pub mod sync;
 pub mod threaded;
@@ -75,7 +74,6 @@ pub use metrics::{
 };
 pub use ring::{Batch, SubmitRing};
 pub use segment::{PackWrapper, Priority, RecvReqId, SendReqId, SeqNo, Tag, NUM_LANES};
-pub use steal::{StealGroup, StealStats};
 pub use strategy::{
     eager_cutoff, DynamicStats, FramePlan, NicView, PlanEntry, StratAggreg, StratDefault,
     StratDynamic, StratLanes, StratMultirail, StratReorder, Strategy, Tactic,

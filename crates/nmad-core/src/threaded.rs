@@ -37,14 +37,10 @@
 //! ring; the [`CompletionBoard`] keeps one global id-keyed bucket
 //! space, so waiting works unchanged.
 //!
-//! An idle shard's NICs are kept busy through the steal facade
-//! ([`crate::steal`]): a shard whose window backlog reaches
-//! `STEAL_DEPTH` donates small eager segments to an idle shard, which
-//! transmits them as standalone spool frames on its own rails; the
-//! receiving node's same-index shard forwards such foreign frames to
-//! the flow's owner shard, and transmit completions travel back to the
-//! victim. See `DESIGN.md` §14 for the protocol and its memory-ordering
-//! obligations.
+//! Shards share nothing else: no work moves between them. Both ends of
+//! a link must run the same shard count; a shard that receives a frame
+//! carrying a flow it does not own fails with a protocol error (see
+//! `DESIGN.md` §14).
 //!
 //! The simulated transports stay on the inline path (the application
 //! thread calls [`NmadEngine::progress`]): virtual time only advances
@@ -66,8 +62,7 @@ use crate::engine::{EngineConfig, NmadEngine, ShardPolicy};
 use crate::matching::RecvDone;
 use crate::metrics::{EngineMetrics, MetricsSnapshot, NicMetrics, SharedMetrics};
 use crate::ring::{Batch, SubmitRing};
-use crate::segment::{PackWrapper, Priority, RecvReqId, SendReqId, Tag};
-use crate::steal::{StealGroup, StealStats};
+use crate::segment::{Priority, RecvReqId, SendReqId, Tag};
 use crate::EngineStats;
 
 // The whole design rests on the engine being movable to the
@@ -240,29 +235,6 @@ impl CompletionBoard {
     }
 }
 
-/// A message crossing the steal facade between two progression shards.
-/// The variants are the whole cross-shard protocol: everything else a
-/// shard owns is private to its thread.
-enum StealMsg {
-    /// Victim → thief: eager segments for the thief's spool.
-    Donation {
-        victim: usize,
-        wrappers: Vec<PackWrapper>,
-    },
-    /// Thief → victim: a donation the thief could not place (it is
-    /// departing); the victim re-queues it.
-    Undonate { wrappers: Vec<PackWrapper> },
-    /// Receiving shard → owner shard: a frame for a flow you own
-    /// arrived on my rails (the sender's thief transmitted it there).
-    Frame {
-        src: NodeId,
-        frame: Bytes,
-        rx_zero_copy: bool,
-    },
-    /// Thief → victim: a donated segment's frame fully left the host.
-    Done(SendReqId),
-}
-
 /// Capacity of each shard's submission ring. A full ring pushes back
 /// on submitters instead of growing.
 const SUBMIT_RING_CAPACITY: usize = 1024;
@@ -288,8 +260,6 @@ struct Shared {
     /// Application-side request id allocator, seeded from the engine's
     /// watermark at launch. Global across shards so ids stay unique.
     next_req: AtomicU64,
-    /// The cross-shard work-stealing mailboxes.
-    steal: StealGroup<StealMsg>,
     /// Serialises snapshot requesters (one RPC slot).
     snap_serial: Mutex<()>,
     /// One snapshot cell per shard; a requester broadcasts a
@@ -334,6 +304,12 @@ impl ThreadedEngine {
     /// shard the runtime degenerates to the original single-thread
     /// layout, byte for byte.
     ///
+    /// Both ends of every link must end up with the same shard count,
+    /// after this clamp: two nodes asking for the same count but owning
+    /// different rail counts can still differ. A shard that receives a
+    /// frame carrying a flow it does not own stops the runtime with a
+    /// protocol error, which every waiter then reports.
+    ///
     /// Panics if any of the engine's drivers vetoes background
     /// progression (the simulated transport does — see the module
     /// documentation).
@@ -362,7 +338,6 @@ impl ThreadedEngine {
             node,
             board: CompletionBoard::new(shards),
             next_req: AtomicU64::new(watermark),
-            steal: StealGroup::new(shards),
             snap_serial: Mutex::new(()),
             snap_slot: Mutex::new(Vec::new()),
             snap_cv: Condvar::new(),
@@ -486,11 +461,6 @@ impl ThreadedHandle {
     /// shards deliberately.
     pub fn shard_of(&self, peer: NodeId, tag: Tag) -> usize {
         self.shared.route(peer, tag)
-    }
-
-    /// Counters of the cross-shard steal machinery.
-    pub fn steal_stats(&self) -> StealStats {
-        self.shared.steal.stats()
     }
 
     /// Submits one application send made of `parts` segments (see
@@ -896,118 +866,6 @@ impl Drop for SubmitBatch<'_> {
     }
 }
 
-/// Drains shard `shard`'s steal mailbox into its engine. Returns true
-/// if anything arrived.
-fn drain_steal_mailbox(engine: &mut NmadEngine, shared: &Shared, shard: usize) -> bool {
-    let mut moved = false;
-    for msg in shared.steal.drain(shard) {
-        moved = true;
-        match msg {
-            StealMsg::Donation { victim, wrappers } => engine.accept_donations(victim, wrappers),
-            StealMsg::Undonate { wrappers } => {
-                for w in wrappers {
-                    engine.undonate(w);
-                }
-            }
-            StealMsg::Frame {
-                src,
-                frame,
-                rx_zero_copy,
-            } => {
-                // An injection error is a protocol corruption, not a
-                // transport fault, but waiters still need the diagnosis.
-                if let Err(e) = engine.inject_frame(src, frame, rx_zero_copy) {
-                    *shared.fail.lock() = Some(format!(
-                        "forwarded-frame injection failed on node {} shard {shard}: {e}",
-                        engine.node()
-                    ));
-                    shared.dead.store(true, Ordering::SeqCst);
-                }
-            }
-            StealMsg::Done(req) => engine.complete_foreign_done(req),
-        }
-    }
-    moved
-}
-
-/// Forwards what the engine produced for *other* shards: received
-/// foreign frames to their owner shard, spool-transmit completions to
-/// their victim. Returns true if anything was forwarded.
-fn forward_cross_shard(engine: &mut NmadEngine, shared: &Shared, shard: usize) -> bool {
-    let mut moved = false;
-    for (owner, src, frame, rx_zero_copy) in engine.drain_foreign_rx() {
-        moved = true;
-        debug_assert_ne!(owner, shard, "own frames never reach the foreign path");
-        // On Err the owner departed: the runtime is shutting down and
-        // the owner had no posted work left; the frame is dropped like
-        // completions still parked on the board at shutdown.
-        if let Ok(()) = shared.steal.push(
-            owner,
-            StealMsg::Frame {
-                src,
-                frame,
-                rx_zero_copy,
-            },
-        ) {
-            shared.steal.note_forwarded_frame()
-        }
-    }
-    for (req, victim) in engine.drain_spool_done() {
-        moved = true;
-        // A victim with outstanding donations has a nonempty sends
-        // map, is not tx-quiescent, and therefore cannot have
-        // departed; the push only fails after a transport death.
-        if shared.steal.push(victim, StealMsg::Done(req)).is_ok() {
-            shared.steal.note_forwarded_done();
-        }
-    }
-    moved
-}
-
-/// Work stealing: a shard whose window holds at least this many
-/// segments is a donation candidate for idle shards.
-const STEAL_DEPTH: usize = 16;
-
-/// Work stealing: at most this many eager segments move per steal.
-const STEAL_BATCH: usize = 8;
-
-/// The victim half of the steal decision: if this shard's donation
-/// backlog is deep and some other shard advertises idle, donate a
-/// batch of small eager segments to it.
-fn maybe_donate(engine: &mut NmadEngine, shared: &Shared, shard: usize) {
-    if engine.donation_backlog() < STEAL_DEPTH {
-        return;
-    }
-    let Some(thief) = shared.steal.pick_thief(shard) else {
-        return;
-    };
-    let wrappers = engine.donate_eager(STEAL_BATCH);
-    if wrappers.is_empty() {
-        return;
-    }
-    let n = wrappers.len() as u64;
-    match shared.steal.push(
-        thief,
-        StealMsg::Donation {
-            victim: shard,
-            wrappers,
-        },
-    ) {
-        Ok(()) => shared.steal.note_donated(n),
-        Err(StealMsg::Donation { wrappers, .. }) => {
-            // The thief departed between pick and push: take the work
-            // back (re-queue), nothing is lost.
-            shared.steal.note_bounced(n);
-            for w in wrappers {
-                engine.undonate(w);
-            }
-        }
-        // `push` hands back the message it was given, so a donation in
-        // means a donation out; nothing to recover from other shapes.
-        Err(_) => debug_assert!(false, "push returns the message it was given"),
-    }
-}
-
 /// Max operations a progression thread drains from its ring between
 /// pumps, bounding submission-drain latency vs fairness.
 const SUBMIT_BATCH: usize = 256;
@@ -1016,22 +874,15 @@ const SUBMIT_BATCH: usize = 256;
 /// ring is empty before re-checking.
 const IDLE_PARK: Duration = Duration::from_micros(200);
 
-/// A progression shard's thread body: drain the steal mailbox and the
-/// submission ring, pump the engine, forward cross-shard work, harvest
-/// completions, publish metrics, park when idle. A single-shard runtime
-/// has no peer to steal from or forward to, so it skips every
-/// cross-shard step.
+/// A progression shard's thread body: drain the submission ring, pump
+/// the engine, harvest completions, publish metrics, park when idle.
+/// Every shard count runs the same loop: shards share nothing but the
+/// board, the id watermark and the liveness flag.
 // HOT-PATH: shard pump loop
 fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
-    let sharded = shared.shards.len() > 1;
     let mut shutting_down = false;
     let my = &shared.shards[shard]; // PANIC-OK: shard < shards.len() by the spawn loop
     loop {
-        // 0. Cross-shard inbox: donations to spool, bounced donations
-        // to re-queue, forwarded frames to inject, spool completions
-        // to settle.
-        let steal_moved = sharded && drain_steal_mailbox(&mut engine, shared, shard);
-
         // 1. Drain a bounded batch of submissions: one ring pop hands
         // over a whole slot of up to SLOT_OPS operations, so the
         // per-slot synchronization cost is amortized across the run.
@@ -1075,21 +926,7 @@ fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
             }
         };
 
-        // 3. Cross-shard outbox, then the steal decision.
-        let forwarded = sharded && forward_cross_shard(&mut engine, shared, shard);
-        if sharded {
-            shared
-                .steal
-                .advertise_depth(shard, engine.donation_backlog());
-            shared
-                .steal
-                .advertise_idle(shard, engine.tx_quiescent() && !shutting_down);
-            if !shutting_down {
-                maybe_donate(&mut engine, shared, shard);
-            }
-        }
-
-        // 4. Harvest completions onto the board, batched symmetrically
+        // 3. Harvest completions onto the board, batched symmetrically
         // with submission: each board bucket's lock is taken at most
         // once per harvest instead of once per completion.
         let done_sends = engine.drain_done_sends();
@@ -1098,7 +935,7 @@ fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
         shared.board.post_sends_done(&done_sends);
         shared.board.post_recvs_done(done_recvs);
 
-        // 5. Mirror the hot counters.
+        // 4. Mirror the hot counters.
         my.hot
             .publish(&engine.merged_engine_metrics(), engine.stats());
 
@@ -1113,50 +950,14 @@ fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
             break;
         }
 
-        // 6. Pace: spin while work is outstanding, park on the ring
-        // otherwise. (Steal messages don't ring the doorbell; a parked
-        // shard sees them after at most one IDLE_PARK.)
-        if !moved && !harvested && !steal_moved && !forwarded && drained == 0 {
+        // 5. Pace: spin while work is outstanding, park on the ring
+        // otherwise.
+        if !moved && !harvested && drained == 0 {
             if engine.has_outstanding() || shutting_down {
                 std::thread::yield_now();
             } else {
                 my.ring.wait_nonempty(IDLE_PARK);
             }
-        }
-    }
-
-    // Exit: refuse further steal messages and settle the residue in
-    // one atomic step, so nothing is stranded in the mailbox.
-    for msg in shared.steal.depart(shard) {
-        match msg {
-            // Bounce unplaced donations home. The victim still has the
-            // donated requests in its sends map, so it is not
-            // quiescent and cannot have departed.
-            StealMsg::Donation { victim, wrappers } => {
-                let n = wrappers.len() as u64;
-                if shared
-                    .steal
-                    .push(victim, StealMsg::Undonate { wrappers })
-                    .is_ok()
-                {
-                    shared.steal.note_bounced(n);
-                }
-            }
-            // Our own donation bounced back after we decided to leave:
-            // only possible when we were not quiescent, i.e. on the
-            // dead-runtime path — re-queue for the merged engine.
-            StealMsg::Undonate { wrappers } => {
-                for w in wrappers {
-                    engine.undonate(w);
-                }
-            }
-            // A frame for a flow we own, arriving as we leave with no
-            // posted work: dropped, like completions parked on the
-            // board at shutdown.
-            StealMsg::Frame { .. } => {}
-            // A completion for a donation we made: unreachable on the
-            // clean path (we'd not be quiescent), settle it anyway.
-            StealMsg::Done(req) => engine.complete_foreign_done(req),
         }
     }
     engine

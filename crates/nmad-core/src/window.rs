@@ -310,22 +310,6 @@ impl Window {
         self.common.push_front(wrapper);
     }
 
-    /// The segment at the back of the common list, if any (the steal
-    /// path peeks here before deciding to donate).
-    pub fn common_back(&self) -> Option<&PackWrapper> {
-        self.common.back()
-    }
-
-    /// Pops the back of the common list. Donations come from the back
-    /// so the front — the oldest traffic, next in line for a NIC —
-    /// keeps its position.
-    // HOT-PATH: window drain
-    pub fn pop_common_back(&mut self) -> Option<PackWrapper> {
-        let w = self.common.pop_back()?;
-        self.unindex_segment(&w);
-        Some(w)
-    }
-
     /// Push rdv.
     // HOT-PATH: window plan
     pub fn push_rdv(&mut self, job: RdvJob) {
@@ -920,18 +904,6 @@ mod tests {
         let first = w.take_front_if(0, |_| true).unwrap();
         assert_eq!(first.order, 4);
         assert_eq!(w.global_oldest_in_lane(0), Some((NodeId(1), 5)));
-        assert!(w.index_is_consistent());
-    }
-
-    #[test]
-    fn donation_pop_unindexes_the_back() {
-        let mut w = Window::new(1);
-        w.push_segment(lane_wrapper(1, 3, 1), None);
-        w.push_segment(lane_wrapper(1, 3, 2), None);
-        let donated = w.pop_common_back().unwrap();
-        assert_eq!(donated.order, 2);
-        assert_eq!(w.lane_depth(3), 1);
-        assert_eq!(w.global_oldest_in_lane(3), Some((NodeId(1), 1)));
         assert!(w.index_is_consistent());
     }
 

@@ -19,7 +19,6 @@
 use nmad_core::ring::{Batch, SubmitRing};
 use nmad_core::sync::{fence, spin_loop, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 use nmad_core::Seqlock;
-use nmad_core::StealGroup;
 use nmad_verify::{thread, Checker};
 use std::sync::Arc;
 use std::time::Duration;
@@ -409,123 +408,6 @@ fn model_id_watermark_load_store_mutant_is_caught() {
     assert!(
         failure.message.contains("duplicate request id"),
         "wrong failure: {failure}"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Work-steal handoff: no donation is lost or doubly owned.
-// ---------------------------------------------------------------------
-
-/// The steal-mailbox handoff ([`StealGroup`]): a victim donates tokens
-/// while the thief drains and then departs. In every schedule, every
-/// donated token ends up owned exactly once — drained by the thief,
-/// returned in the departure residue, or bounced straight back to the
-/// victim. Nothing is lost, nothing is owned twice.
-#[test]
-fn model_steal_handoff_never_loses_or_double_owns() {
-    let stats = Checker::new()
-        .max_schedules(15_000)
-        .check(|| {
-            let group: Arc<StealGroup<u64>> = Arc::new(StealGroup::new(2));
-            let g = Arc::clone(&group);
-            // Victim (shard 0) donates two tokens to the thief
-            // (shard 1); a bounced donation stays with the victim.
-            let victim = thread::spawn(move || {
-                let mut kept = Vec::new();
-                for token in [1u64, 2] {
-                    if let Err(back) = g.push(1, token) {
-                        kept.push(back);
-                    }
-                }
-                kept
-            });
-            // Thief: drain once mid-race, then depart — the departure
-            // atomically refuses later pushes and returns the residue.
-            let drained = group.drain(1);
-            let residue = group.depart(1);
-            let kept = victim.join();
-            let mut all: Vec<u64> = drained.into_iter().chain(residue).chain(kept).collect();
-            all.sort_unstable();
-            assert_eq!(
-                all,
-                [1, 2],
-                "a donation was lost or doubly owned across the steal handoff"
-            );
-            assert_eq!(
-                group.drain(1),
-                Vec::<u64>::new(),
-                "a departed mailbox re-issued a token"
-            );
-        })
-        .expect("steal handoff must conserve donations in every schedule");
-    // The mailbox lock serializes most interleavings, so dedup shrinks
-    // this model to a few dozen distinct schedules (the exact count
-    // varies with exploration order). The floor only guards against
-    // the model not exploring at all; raw-interleaving volume is
-    // counted by the dedup-off suites in model_shard.rs.
-    assert!(
-        stats.schedules >= 10,
-        "steal handoff model underexplored: {stats:?}"
-    );
-    assert_eq!(
-        stats.truncated, 0,
-        "steal handoff model hit the step bound: {stats:?}"
-    );
-}
-
-/// Mutant: the departure flag demoted to an atomic checked *outside*
-/// the queue lock (the ordering `StealMailbox` must never have). A
-/// donation can then slip into the mailbox after the departure drain —
-/// stranded forever, neither processed nor bounced. The checker must
-/// find that schedule and report a replayable failing path.
-#[test]
-fn model_steal_departed_flag_outside_lock_mutant_is_caught() {
-    struct WeakMailbox {
-        queue: Mutex<Vec<u64>>,
-        departed: AtomicU64,
-    }
-    impl WeakMailbox {
-        fn push(&self, token: u64) -> Result<(), u64> {
-            // mutant: the departure check races ahead of the enqueue
-            // instead of sharing the queue's critical section.
-            if self.departed.load(Ordering::Relaxed) == 1 {
-                return Err(token);
-            }
-            self.queue.lock().push(token);
-            Ok(())
-        }
-        fn depart(&self) -> Vec<u64> {
-            self.departed.store(1, Ordering::Relaxed);
-            std::mem::take(&mut *self.queue.lock())
-        }
-    }
-    let failure = Checker::new()
-        .max_schedules(30_000)
-        .check(|| {
-            let mailbox = Arc::new(WeakMailbox {
-                queue: Mutex::new(Vec::new()),
-                departed: AtomicU64::new(0),
-            });
-            let m = Arc::clone(&mailbox);
-            let victim = thread::spawn(move || m.push(7).err());
-            let residue = mailbox.depart();
-            let bounced = victim.join();
-            // After departure the mailbox is never drained again: a
-            // token in neither the residue nor the bounce is lost.
-            assert_eq!(
-                residue.len() + usize::from(bounced.is_some()),
-                1,
-                "donation lost across the steal handoff"
-            );
-        })
-        .expect_err("the unlocked departure-flag mutant must be caught");
-    assert!(
-        failure.message.contains("donation lost"),
-        "wrong failure: {failure}"
-    );
-    assert!(
-        !failure.schedule.is_empty(),
-        "the failing path must be replayable: {failure}"
     );
 }
 

@@ -1,7 +1,7 @@
 //! Exhaustive model-checking of the sharded-runtime protocols.
 //!
 //! Compiled only under `--features nmad-model` (mapped to
-//! `cfg(nmad_model)` by build.rs). Three properties the sharded
+//! `cfg(nmad_model)` by build.rs). Two properties the sharded
 //! progression runtime leans on, each proven over every explored
 //! schedule and paired with a deliberately weakened mutant the checker
 //! must catch:
@@ -9,18 +9,15 @@
 //! 1. **Cross-shard id watermark** — request ids allocated by racing
 //!    shards are unique and dense, so the completion board can bucket
 //!    by `id % buckets` without collisions.
-//! 2. **Steal protocol round-trip** — every donated request comes back
-//!    to its victim as exactly one `Done`, never lost, never completed
-//!    twice.
-//! 3. **Per-destination FIFO** — the routing function is pure, so one
+//! 2. **Per-destination FIFO** — the routing function is pure, so one
 //!    flow's messages always land in one shard's ring and stay in
 //!    submission order end to end.
 
 #![cfg(nmad_model)]
 
 use nmad_core::ring::SubmitRing;
-use nmad_core::sync::{spin_loop, AtomicU64, AtomicUsize, Ordering};
-use nmad_core::{ShardPolicy, StealGroup, Tag};
+use nmad_core::sync::{AtomicU64, AtomicUsize, Ordering};
+use nmad_core::{ShardPolicy, Tag};
 use nmad_sim::NodeId;
 use nmad_verify::{thread, CheckStats, Checker};
 use std::sync::Arc;
@@ -113,124 +110,7 @@ fn model_cross_shard_id_watermark_load_store_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Steal protocol round-trip.
-// ---------------------------------------------------------------------
-
-/// The full donation round-trip over the real [`StealGroup`]: the
-/// victim (shard 0) donates two requests to the thief (shard 1); the
-/// thief transmits them and pushes one `Done` per request back. In
-/// every schedule the victim collects exactly one completion per
-/// donated request — none lost, none doubled.
-fn check_steal_round_trip(dedup: bool) -> CheckStats {
-    Checker::new()
-        .max_schedules(15_000)
-        .dedup(dedup)
-        .check(|| {
-            let group: Arc<StealGroup<u64>> = Arc::new(StealGroup::new(2));
-            let g = Arc::clone(&group);
-            let thief = thread::spawn(move || {
-                let mut handled = 0u32;
-                while handled < 2 {
-                    let stolen = g.drain(1);
-                    if stolen.is_empty() {
-                        spin_loop();
-                        continue;
-                    }
-                    for token in stolen {
-                        handled += 1;
-                        // Transmit complete: report Done to the victim.
-                        g.push(0, token + 100).expect("victim never departs");
-                    }
-                }
-            });
-            group.push(1, 1).expect("thief is alive");
-            group.push(1, 2).expect("thief is alive");
-            let mut dones = Vec::new();
-            while dones.len() < 2 {
-                let got = group.drain(0);
-                if got.is_empty() {
-                    spin_loop();
-                }
-                dones.extend(got);
-            }
-            thief.join();
-            dones.sort_unstable();
-            assert_eq!(
-                dones,
-                [101, 102],
-                "a donated request was lost or completed twice"
-            );
-            assert_eq!(
-                group.drain(0),
-                Vec::<u64>::new(),
-                "a phantom completion appeared after the round-trip"
-            );
-        })
-        .expect("every donation must round-trip to exactly one Done in every schedule")
-}
-
-#[test]
-fn model_steal_round_trip_conserves_every_donation() {
-    let stats = check_steal_round_trip(true);
-    assert!(
-        stats.schedules >= 100,
-        "steal round-trip model underexplored: {stats:?}"
-    );
-    assert_eq!(
-        stats.truncated, 0,
-        "steal round-trip model hit the step bound: {stats:?}"
-    );
-}
-
-/// Mutant: competing thieves claiming from a shared donation pool with
-/// the claim counter torn into a racy load-then-store (instead of the
-/// mailbox's locked handoff). Two thieves can claim the same request —
-/// double ownership the checker must catch.
-#[test]
-fn model_steal_competing_thieves_mutant_is_caught() {
-    struct WeakPool {
-        tokens: [u64; 2],
-        claimed: AtomicUsize,
-    }
-    impl WeakPool {
-        fn claim(&self) -> Option<u64> {
-            // mutant: claim index read and advanced non-atomically.
-            let i = self.claimed.load(Ordering::Relaxed);
-            if i >= 2 {
-                return None;
-            }
-            self.claimed.store(i + 1, Ordering::Relaxed);
-            Some(self.tokens[i])
-        }
-    }
-    let failure = Checker::new()
-        .max_schedules(30_000)
-        .check(|| {
-            let pool = Arc::new(WeakPool {
-                tokens: [7, 8],
-                claimed: AtomicUsize::new(0),
-            });
-            let p = Arc::clone(&pool);
-            let rival = thread::spawn(move || p.claim());
-            let mine = pool.claim();
-            let theirs = rival.join();
-            if let (Some(a), Some(b)) = (mine, theirs) {
-                assert_ne!(a, b, "request doubly owned across competing steals");
-            }
-        })
-        .expect_err("the racy claim-counter mutant must be caught");
-    assert!(
-        failure.message.contains("doubly owned"),
-        "wrong failure: {failure}"
-    );
-    assert!(
-        !failure.schedule.is_empty(),
-        "the failing path must be replayable: {failure}"
-    );
-}
-
-// ---------------------------------------------------------------------
-// 3. Per-destination FIFO.
+// 2. Per-destination FIFO.
 // ---------------------------------------------------------------------
 
 /// Routing is a pure function of the flow, so one flow's messages all
@@ -370,7 +250,7 @@ fn model_per_destination_fifo_rebalance_cache_mutant_is_caught() {
 // Exploration volume.
 // ---------------------------------------------------------------------
 
-/// The three shard suites together explore at least ten thousand
+/// The two shard suites together explore at least ten thousand
 /// schedules, none truncated — the acceptance bar for this suite. Run
 /// without state dedup so the count reflects every distinct
 /// interleaving actually executed, not just its canonical states.
@@ -378,7 +258,6 @@ fn model_per_destination_fifo_rebalance_cache_mutant_is_caught() {
 fn model_shard_suites_cover_ten_thousand_schedules() {
     let suites = [
         check_cross_shard_id_watermark(false),
-        check_steal_round_trip(false),
         check_per_destination_fifo(false),
     ];
     let total: u64 = suites.iter().map(|s| s.schedules).sum();

@@ -3,7 +3,7 @@
 //! One pass per file — [`crate::lexer::lex`] then
 //! [`crate::tree::parse_items`] — feeds two layers:
 //!
-//! 1. The eight lexical rules from [`crate::lint`], re-run over the
+//! 1. The seven lexical rules from [`crate::lint`], re-run over the
 //!    lexer's stripped view (one stripping pass, one engine).
 //! 2. Five structural families over a name-based intra-workspace call
 //!    graph rooted at `// HOT-PATH`-annotated functions:
@@ -95,7 +95,7 @@ pub static STRUCTURAL_RULES: &[Rule] = &[
     },
 ];
 
-/// The full 13-rule catalog: the 8 lexical rules plus the 5 structural
+/// The full 12-rule catalog: the 7 lexical rules plus the 5 structural
 /// families, in evaluation order.
 pub fn rule_catalog() -> Vec<(&'static str, &'static str)> {
     lint::RULES
@@ -473,7 +473,7 @@ struct FileCtx {
     lexed: Lexed,
 }
 
-/// Runs the full 13-rule catalog over `files` (workspace-relative
+/// Runs the full 12-rule catalog over `files` (workspace-relative
 /// path, contents). Returns violations sorted by file/line/rule.
 pub fn analyze_files(files: &[(String, String)]) -> Vec<Violation> {
     let mut out: Vec<Violation> = Vec::new();
@@ -875,9 +875,9 @@ mod tests {
     const CORE: &str = "crates/nmad-core/src/x.rs";
 
     #[test]
-    fn catalog_has_thirteen_rules() {
+    fn catalog_has_twelve_rules() {
         let cat = rule_catalog();
-        assert_eq!(cat.len(), 13);
+        assert_eq!(cat.len(), 12);
         let names: Vec<&str> = cat.iter().map(|(n, _)| *n).collect();
         for n in [
             "unsafe-outside-shims",

@@ -17,7 +17,7 @@
 //!   `cargo run -p xtask -- analyze`: repo invariants clippy cannot
 //!   express. The [`lexer`] strips comments/strings and tokenizes,
 //!   [`tree`] recovers the function/impl structure, and [`analyze`]
-//!   runs the unified rule catalog — the eight original lexical rules
+//!   runs the unified rule catalog — seven lexical rules
 //!   ([`lint`]) re-expressed on the token stream plus five structural
 //!   families (hot-path panic freedom, allocation audit, blocking-call
 //!   detection, lock-order acyclicity, atomic-ordering audit) that

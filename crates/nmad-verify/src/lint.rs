@@ -58,13 +58,6 @@ pub static RULES: &[Rule] = &[
                       declares #![forbid(unsafe_code)]",
     },
     Rule {
-        name: "steal-facade-only",
-        description: "no `StealMailbox` token outside crates/nmad-core/src/steal.rs: \
-                      cross-shard state moves only through the StealGroup facade, \
-                      whose departed-under-lock protocol is what the shard model \
-                      suites verify",
-    },
-    Rule {
         name: "raw-poll-outside-shim",
         description: "no raw readiness-syscall tokens (epoll_create1/epoll_ctl/\
                       epoll_wait, EPOLLIN/EPOLLOUT, pollfd) outside shims/polling/: \
@@ -372,15 +365,6 @@ pub fn lint_stripped(path: &str, raw: &str, stripped: &str) -> Vec<Violation> {
             });
         }
 
-        if path != "crates/nmad-core/src/steal.rs" && has_word(line, "StealMailbox") {
-            out.push(Violation {
-                rule: "steal-facade-only",
-                file: path.to_string(),
-                line: lineno,
-                excerpt: excerpt(line),
-            });
-        }
-
         if !path.starts_with("shims/polling/")
             && POLL_SYSCALL_TOKENS.iter().any(|t| has_word(line, t))
         {
@@ -532,20 +516,6 @@ let c = 'u';
     }
 
     #[test]
-    fn steal_mailbox_confined_to_the_facade() {
-        let src = "let m: StealMailbox<u64> = StealMailbox::new();\n";
-        let v = lint_file("crates/nmad-core/src/threaded.rs", src);
-        assert_eq!(v[0].rule, "steal-facade-only");
-        assert!(lint_file("crates/nmad-core/src/steal.rs", src).is_empty());
-        // Comments and longer identifiers do not trip the rule.
-        let ok = lint_file(
-            "crates/nmad-core/src/threaded.rs",
-            "// the StealMailbox protocol is documented in steal.rs\nlet x = NotAStealMailboxX;\n",
-        );
-        assert!(ok.is_empty(), "{ok:?}");
-    }
-
-    #[test]
     fn raw_poll_syscalls_confined_to_the_polling_shim() {
         let src = "let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };\n\
                    let mask = EPOLLIN | EPOLLOUT;\n";
@@ -566,10 +536,9 @@ let c = 'u';
 
     #[test]
     fn rule_catalog_is_stable() {
-        assert_eq!(RULES.len(), 8);
+        assert_eq!(RULES.len(), 7);
         let names: Vec<&str> = RULES.iter().map(|r| r.name).collect();
         assert!(names.contains(&"raw-atomics-outside-facade"));
-        assert!(names.contains(&"steal-facade-only"));
         assert!(names.contains(&"raw-poll-outside-shim"));
     }
 }

@@ -104,7 +104,7 @@ fn the_workspace_rules_are_the_published_catalog() {
         .iter()
         .map(|(n, _)| *n)
         .collect();
-    assert_eq!(names.len(), 13);
+    assert_eq!(names.len(), 12);
     for family in [
         "hot-panic-freedom",
         "hot-alloc",

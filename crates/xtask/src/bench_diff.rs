@@ -423,7 +423,7 @@ fn extract_batch(base: &Json, cur: &Json) -> Vec<Metric> {
 fn extract_shards(base: &Json, cur: &Json) -> Vec<Metric> {
     // The scaling ratios come from deterministic virtual time, so they
     // gate strictly: a shard-count that stops paying for itself is a
-    // real routing or steal-path change. The absolute MB/s rows repeat
+    // real routing or partitioning change. The absolute MB/s rows repeat
     // the same information per point and are context.
     let mut out = pair(
         named_values(base, "scaling"),

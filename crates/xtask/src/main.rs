@@ -1,7 +1,7 @@
 //! Workspace automation tasks, invoked as `cargo run -p xtask -- <task>`.
 //!
-//! * `analyze` — the full 13-rule static-analysis catalog
-//!   ([`nmad_verify::analyze`]): the 8 lexical rules plus the 5
+//! * `analyze` — the full 12-rule static-analysis catalog
+//!   ([`nmad_verify::analyze`]): the 7 lexical rules plus the 5
 //!   structural hot-path families (panic freedom, allocation audit,
 //!   blocking calls, lock-order acyclicity, atomic-ordering audit)
 //!   over the workspace call graph. Exit 0 when clean; `--json` for

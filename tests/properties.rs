@@ -394,76 +394,6 @@ proptest! {
             );
         }
     }
-
-    /// The steal path is priority-transparent: segments pulled off a
-    /// victim by `donate_eager` keep their class, payload, and request
-    /// identity; the thief transmits them as spool frames; and the
-    /// `TxDone::Foreign` hand-back (`drain_spool_done` →
-    /// `complete_foreign_done`) completes the victim's requests while
-    /// the sink receives every byte exactly.
-    #[test]
-    fn steal_donation_keeps_priority_and_completes_foreign_sends(
-        items in proptest::collection::vec((1usize..2048, 0u8..4), 1..12),
-        donate_sel in 0usize..16
-    ) {
-        use newmadeleine::core::PackWrapper;
-        let world = shared_world(SimConfig::two_nodes_multirail(vec![nic::mx_myri10g(); 2]));
-        let single = |node: u32, rail: u16, strat: Box<dyn Strategy>| {
-            let driver = SimDriver::new(world.clone(), NodeId(node), RailId(rail));
-            let meter = Box::new(driver.meter());
-            NmadEngine::new(vec![Box::new(driver) as Box<dyn Driver>], meter, strat, EngineCosts::zero())
-        };
-        let mut victim = single(0, 0, Box::new(StratLanes::new()));
-        let mut thief = single(0, 1, Box::new(StratDefault));
-        let drivers: Vec<Box<dyn Driver>> = SimDriver::all_rails(&world, NodeId(1))
-            .into_iter()
-            .map(|d| Box::new(d) as Box<dyn Driver>)
-            .collect();
-        let meter = Box::new(newmadeleine::net::SimCpuMeter::new(world.clone(), NodeId(1)));
-        let mut sink = NmadEngine::new(drivers, meter, Box::new(StratDefault), EngineCosts::zero());
-
-        let mut sends = Vec::new();
-        for (i, &(len, lane)) in items.iter().enumerate() {
-            let body: Vec<u8> = (0..len).map(|j| ((i * 13 + j) % 251) as u8).collect();
-            sends.push(victim.submit_send_parts(
-                NodeId(1),
-                Tag(i as u32),
-                vec![(Bytes::from(body), Priority::from_lane(lane))],
-                None,
-            ));
-        }
-        let donated: Vec<PackWrapper> = victim.donate_eager(donate_sel % (items.len() + 1));
-        for w in &donated {
-            let (len, lane) = items[w.tag.0 as usize];
-            prop_assert_eq!(w.priority, Priority::from_lane(lane), "donation changed the class");
-            prop_assert_eq!(w.len(), len, "donation changed the payload");
-        }
-        let donated_reqs: Vec<_> = donated.iter().map(|w| w.req).collect();
-        thief.accept_donations(0, donated);
-
-        let mut recvs = Vec::new();
-        for (i, &(len, _)) in items.iter().enumerate() {
-            recvs.push(sink.post_recv(NodeId(0), Tag(i as u32), len));
-        }
-        run_until(&world, || {
-            let moved = victim.progress() | thief.progress() | sink.progress();
-            for (req, victim_idx) in thief.drain_spool_done() {
-                assert_eq!(victim_idx, 0, "foreign done routed to the wrong victim");
-                victim.complete_foreign_done(req);
-            }
-            let all = sends.iter().all(|&s| victim.is_send_done(s))
-                && recvs.iter().all(|&r| sink.is_recv_done(r));
-            if all { ControlFlow::Break(()) } else { ControlFlow::Continue(moved) }
-        })
-        .expect("steal co-simulation");
-        for req in donated_reqs {
-            prop_assert!(victim.is_send_done(req), "foreign completion lost");
-        }
-        for (i, &(len, _)) in items.iter().enumerate() {
-            let done = sink.try_take_recv(recvs[i]).expect("completed");
-            prop_assert_eq!(done.data.len(), len, "flow {} truncated", i);
-        }
-    }
 }
 
 /// Drives both engines (and virtual time) until `done` holds.

@@ -15,14 +15,17 @@
 //! The schedule mixes eager-sized payloads with ones crossing the mem
 //! driver's 64 KiB rendezvous threshold, so the RTS/CTS path crosses
 //! shards too.
+//!
+//! The equivalence rests on one contract: both ends of a link run the
+//! same shard count. The last test pins what happens when they do not.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use newmadeleine::core::prelude::*;
-use newmadeleine::core::ThreadedEngine;
+use newmadeleine::core::{ShardPolicy, ThreadedEngine};
 use newmadeleine::net::mem::mem_fabric;
-use newmadeleine::net::NullMeter;
+use newmadeleine::net::{Driver, NetError, NullMeter};
 use newmadeleine::sim::NodeId;
 
 use proptest::prelude::*;
@@ -164,5 +167,86 @@ proptest! {
         let sharded = run(shards, &msgs);
         prop_assert_eq!(&single, &sharded);
         prop_assert_eq!(single.completion_duplicates, 0);
+    }
+}
+
+/// The shard-count contract, checked inline with no threads. Node 0 is
+/// a 2-rail engine split into 2 shards; node 1 is an unsplit 2-rail
+/// engine running `aggreg`, so a burst on 8 tags leaves as one frame
+/// whose entries belong to both of node 0's shards. The shard that
+/// receives it must fail with a protocol error naming the contract and
+/// apply none of the frame's entries. Two send orders cover both cases:
+/// the frame's first entry owned by the other shard, and owned by the
+/// receiving shard with a foreign entry behind it.
+#[test]
+fn unequal_shard_counts_fail_with_a_protocol_error() {
+    let owner = |tag: u32| ShardPolicy::HashByDest.route(2, NodeId(0), NodeId(1), Tag(tag));
+    let tags: Vec<u32> = (0..8).collect();
+    assert!(
+        tags.iter().any(|&t| owner(t) == 0) && tags.iter().any(|&t| owner(t) == 1),
+        "the tags must cover both shards"
+    );
+    let own_first = tags.iter().position(|&t| owner(t) == 0).unwrap();
+    let mut rotated = tags.clone();
+    rotated.rotate_left(own_first);
+    for order in [tags, rotated] {
+        let mut split_rails: Vec<Box<dyn Driver>> = Vec::new();
+        let mut whole_rails: Vec<Box<dyn Driver>> = Vec::new();
+        for _ in 0..2 {
+            let mut fabric = mem_fabric(2);
+            whole_rails.push(Box::new(fabric.pop().unwrap()));
+            split_rails.push(Box::new(fabric.pop().unwrap()));
+        }
+        let engine = |rails: Vec<Box<dyn Driver>>| {
+            NmadEngine::new(
+                rails,
+                Box::new(NullMeter),
+                Box::new(StratAggreg),
+                EngineCosts::zero(),
+            )
+        };
+        let mut shards = engine(split_rails).split_for_shards(2, ShardPolicy::HashByDest);
+        let mut whole = engine(whole_rails);
+        let recvs: Vec<_> = order
+            .iter()
+            .map(|&t| (owner(t), shards[owner(t)].post_recv(NodeId(1), Tag(t), 64)))
+            .collect();
+        // Every send is submitted before the first pump, so all eight
+        // leave in one aggregated frame.
+        for &t in &order {
+            whole.isend(NodeId(0), Tag(t), vec![t as u8; 32]);
+        }
+        let failure = 'pump: loop {
+            let mut moved = whole
+                .try_progress()
+                .expect("the unsplit sender never fails");
+            for (s, shard) in shards.iter_mut().enumerate() {
+                match shard.try_progress() {
+                    Ok(m) => moved |= m,
+                    Err(e) => break 'pump Some((s, e)),
+                }
+            }
+            if !moved {
+                break None;
+            }
+        };
+        let completed = recvs
+            .iter()
+            .filter(|&&(s, r)| shards[s].is_recv_done(r))
+            .count();
+        let Some((shard, err)) = failure else {
+            panic!(
+                "send order {order:?}: the mixed frame was accepted without an error; \
+                 {completed} of 8 receives completed"
+            );
+        };
+        let NetError::Protocol(msg) = &err else {
+            panic!("send order {order:?}: shard {shard} failed with {err}, not a protocol error");
+        };
+        assert!(msg.contains("same shard count"), "{msg}");
+        assert_eq!(
+            completed, 0,
+            "send order {order:?}: entries were applied before the check failed"
+        );
     }
 }
