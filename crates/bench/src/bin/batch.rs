@@ -150,10 +150,11 @@ fn submit_overhead(batched: bool, reps: usize) -> f64 {
             per_op.push(elapsed.as_nanos() as f64 / BURST as f64);
         }
         // Off the clock: let the progression thread drain the ring so
-        // the next rep starts from an empty ring, not backpressure.
-        while h.hot_metrics().0.recvs_posted < ((rep + 1) * BURST) as u64 + 1 {
-            std::thread::yield_now();
-        }
+        // the next rep starts from an empty ring, not backpressure. The
+        // snapshot request queues behind the burst on the same ring, so
+        // it returns only once every post ahead of it was applied.
+        let posted = h.metrics().engine.recvs_posted;
+        assert_eq!(posted, ((rep + 1) * BURST) as u64 + 1, "drain barrier");
     }
     median(&per_op)
 }

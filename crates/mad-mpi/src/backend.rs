@@ -22,7 +22,7 @@ use bytes::Bytes;
 use crate::datatype::Datatype;
 use baselines::{DirectConfig, DirectEngine, UnpackMode};
 use nmad_core::segment::{Priority, RecvReqId, SendReqId, Tag};
-use nmad_core::{EngineConfig, MetricsSnapshot, NmadEngine, ThreadedEngine, ThreadedHandle};
+use nmad_core::{MetricsSnapshot, NmadEngine};
 use nmad_net::{FaultPlan, FaultStats};
 use nmad_sim::NodeId;
 
@@ -268,176 +268,6 @@ impl MpiBackend for NmadBackend {
     }
 }
 
-// --- MAD-MPI over the sharded threaded runtime --------------------------
-
-/// MAD-MPI over the sharded threaded progression runtime
-/// ([`ThreadedEngine`]): isend/irecv become ring submissions routed to
-/// the shard owning each flow, completion tests poll the lock-sharded
-/// board, and [`MpiBackend::progress`] is a no-op — the progression
-/// threads pump in the background, which is the paper's point.
-pub struct ShardedNmadBackend {
-    runtime: ThreadedEngine,
-    handle: ThreadedHandle,
-    recvs: HashMap<u64, NmadRecv>,
-    sends: HashMap<u64, SendReqId>,
-    next: u64,
-}
-
-impl ShardedNmadBackend {
-    /// Launches `engine` on `config.shards` progression shards
-    /// (clamped to the rail count) and wraps the runtime as a MAD-MPI
-    /// backend; see [`EngineConfig::sharded`] and
-    /// [`EngineConfig::threaded`].
-    pub fn launch(engine: NmadEngine, config: EngineConfig) -> Self {
-        let runtime = ThreadedEngine::launch(engine, config);
-        let handle = runtime.handle();
-        ShardedNmadBackend {
-            runtime,
-            handle,
-            recvs: HashMap::new(),
-            sends: HashMap::new(),
-            next: 0,
-        }
-    }
-
-    /// Progression shards actually running (after the rail-count
-    /// clamp).
-    pub fn shards(&self) -> usize {
-        self.runtime.shards()
-    }
-
-    /// The routed submission handle (for tests and extra app threads).
-    pub fn handle(&self) -> ThreadedHandle {
-        self.runtime.handle()
-    }
-
-    /// Stops every progression shard and returns the re-merged engine.
-    pub fn shutdown(self) -> NmadEngine {
-        self.runtime.shutdown()
-    }
-
-    fn token(&mut self) -> u64 {
-        let t = self.next;
-        self.next += 1;
-        t
-    }
-}
-
-impl MpiBackend for ShardedNmadBackend {
-    fn name(&self) -> &'static str {
-        "madmpi-sharded"
-    }
-
-    fn node(&self) -> NodeId {
-        self.runtime.node()
-    }
-
-    fn isend_contig(&mut self, dst: NodeId, tag: Tag, data: Bytes) -> SendToken {
-        let req = self.handle.isend(dst, tag, data);
-        let t = self.token();
-        self.sends.insert(t, req);
-        SendToken(t)
-    }
-
-    fn isend_typed(&mut self, dst: NodeId, tag: Tag, buf: &[u8], dtype: &Datatype) -> SendToken {
-        let parts: Vec<(Bytes, Priority)> = dtype
-            .blocks()
-            .iter()
-            .map(|&(offset, len)| {
-                (
-                    Bytes::copy_from_slice(&buf[offset..offset + len]),
-                    Priority::Normal,
-                )
-            })
-            .collect();
-        let req = self.handle.submit_send_parts(dst, tag, parts, None);
-        let t = self.token();
-        self.sends.insert(t, req);
-        SendToken(t)
-    }
-
-    fn irecv_contig(&mut self, src: NodeId, tag: Tag, max: usize) -> RecvToken {
-        let req = self.handle.post_recv(src, tag, max);
-        let t = self.token();
-        self.recvs.insert(t, NmadRecv::Contig(req));
-        RecvToken(t)
-    }
-
-    fn irecv_typed(&mut self, src: NodeId, tag: Tag, dtype: &Datatype) -> RecvToken {
-        let reqs: Vec<RecvReqId> = dtype
-            .blocks()
-            .iter()
-            .map(|&(_, len)| self.handle.post_recv(src, tag, len))
-            .collect();
-        let t = self.token();
-        self.recvs.insert(
-            t,
-            NmadRecv::Typed {
-                reqs,
-                dtype: dtype.clone(),
-            },
-        );
-        RecvToken(t)
-    }
-
-    fn test_send(&mut self, token: SendToken) -> bool {
-        let req = self.sends.get(&token.0).expect("unknown send token");
-        self.handle.is_send_done(*req)
-    }
-
-    fn test_recv(&mut self, token: RecvToken) -> bool {
-        match self.recvs.get(&token.0) {
-            // Already taken ⇒ complete and inactive.
-            None => true,
-            Some(NmadRecv::Contig(req)) => self.handle.is_recv_done(*req),
-            Some(NmadRecv::Typed { reqs, .. }) => reqs.iter().all(|&r| self.handle.is_recv_done(r)),
-        }
-    }
-
-    fn take_recv(&mut self, token: RecvToken) -> Option<Vec<u8>> {
-        if !self.test_recv(token) {
-            return None;
-        }
-        match self.recvs.remove(&token.0)? {
-            NmadRecv::Contig(req) => Some(
-                self.handle
-                    .try_take_recv(req)
-                    .expect("tested")
-                    .data
-                    .to_vec(),
-            ),
-            NmadRecv::Typed { reqs, dtype } => {
-                let parts: Vec<Vec<u8>> = reqs
-                    .into_iter()
-                    .map(|r| self.handle.try_take_recv(r).expect("tested").data.to_vec())
-                    .collect();
-                Some(dtype.scatter_blocks(&parts))
-            }
-        }
-    }
-
-    fn progress(&mut self) -> bool {
-        // The progression threads pump in the background; the MPI
-        // front-end's progress calls have nothing to do.
-        false
-    }
-
-    fn frames_sent(&self) -> u64 {
-        let (_, wire) = self.handle.hot_metrics();
-        wire.frames_sent
-    }
-
-    fn probe(&self, _src: NodeId, _tag: Tag) -> Option<usize> {
-        // Matching state lives on the progression threads; a probe RPC
-        // is not worth a ring round-trip, so announce nothing.
-        None
-    }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(self.handle.metrics())
-    }
-}
-
 // --- baselines over the direct engine -----------------------------------
 
 enum DirectRecv {
@@ -583,92 +413,5 @@ impl MpiBackend for DirectBackend {
 
     fn probe(&self, src: NodeId, tag: Tag) -> Option<usize> {
         self.engine.probe(src, tag)
-    }
-}
-
-#[cfg(test)]
-mod sharded_backend_tests {
-    use super::*;
-    use nmad_core::{EngineCosts, StratAggreg};
-    use nmad_net::mem::mem_fabric;
-    use nmad_net::NullMeter;
-
-    /// A two-node pair over `rails` in-memory rails per node, wrapped
-    /// as sharded MAD-MPI backends.
-    fn sharded_pair(rails: usize, shards: usize) -> (ShardedNmadBackend, ShardedNmadBackend) {
-        let mut a_rails: Vec<Box<dyn nmad_net::Driver>> = Vec::new();
-        let mut b_rails: Vec<Box<dyn nmad_net::Driver>> = Vec::new();
-        for _ in 0..rails {
-            let mut fabric = mem_fabric(2);
-            let b = fabric.pop().unwrap();
-            let a = fabric.pop().unwrap();
-            a_rails.push(Box::new(a));
-            b_rails.push(Box::new(b));
-        }
-        let launch = |drivers: Vec<Box<dyn nmad_net::Driver>>| {
-            ShardedNmadBackend::launch(
-                NmadEngine::new(
-                    drivers,
-                    Box::new(NullMeter),
-                    Box::new(StratAggreg),
-                    EngineCosts::zero(),
-                ),
-                EngineConfig::sharded(shards),
-            )
-        };
-        (launch(a_rails), launch(b_rails))
-    }
-
-    #[test]
-    fn sharded_backend_contig_roundtrip_across_shards() {
-        let (mut a, mut b) = sharded_pair(2, 2);
-        assert_eq!(a.shards(), 2);
-        assert_eq!(a.name(), "madmpi-sharded");
-        let n = 16u32;
-        let recvs: Vec<_> = (0..n)
-            .map(|t| b.irecv_contig(NodeId(0), Tag(t), 64))
-            .collect();
-        let sends: Vec<_> = (0..n)
-            .map(|t| a.isend_contig(NodeId(1), Tag(t), Bytes::from(vec![t as u8; 40])))
-            .collect();
-        for s in sends {
-            while !a.test_send(s) {
-                std::thread::yield_now();
-            }
-        }
-        for (t, r) in recvs.into_iter().enumerate() {
-            loop {
-                if let Some(data) = b.take_recv(r) {
-                    assert_eq!(data, vec![t as u8; 40]);
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-        let merged = a.shutdown();
-        assert_eq!(merged.rail_count(), 2);
-        drop(b);
-    }
-
-    #[test]
-    fn sharded_backend_typed_roundtrip() {
-        let (mut a, mut b) = sharded_pair(2, 2);
-        let dtype = Datatype::vector(3, 8, 16).unwrap();
-        let buf: Vec<u8> = (0..dtype.extent()).map(|i| i as u8).collect();
-        let r = b.irecv_typed(NodeId(0), Tag(7), &dtype);
-        let s = a.isend_typed(NodeId(1), Tag(7), &buf, &dtype);
-        while !a.test_send(s) {
-            std::thread::yield_now();
-        }
-        let got = loop {
-            if let Some(data) = b.take_recv(r) {
-                break data;
-            }
-            std::thread::yield_now();
-        };
-        // Only the typed blocks carry data; gaps are zero-filled.
-        for &(off, len) in dtype.blocks() {
-            assert_eq!(&got[off..off + len], &buf[off..off + len]);
-        }
     }
 }

@@ -47,9 +47,7 @@ pub mod coll;
 pub mod datatype;
 pub mod p2p;
 
-pub use backend::{
-    DirectBackend, MpiBackend, NmadBackend, RecvToken, SendToken, ShardedNmadBackend,
-};
+pub use backend::{DirectBackend, MpiBackend, NmadBackend, RecvToken, SendToken};
 pub use cluster::{
     mem_cluster, pump_cluster, sim_cluster, sim_cluster_multirail, tcp_rank, EngineKind,
     StrategyKind,

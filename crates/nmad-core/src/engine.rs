@@ -102,18 +102,18 @@ impl ShardPolicy {
 /// A shard engine's identity within a sharded runtime: which shard it
 /// is, how many exist, and the routing policy every participant uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardRoute {
+pub(crate) struct ShardRoute {
     /// This engine's shard index.
-    pub shard: usize,
+    shard: usize,
     /// Total shard count.
-    pub shards: usize,
+    shards: usize,
     /// The flow-routing policy.
-    pub policy: ShardPolicy,
+    policy: ShardPolicy,
 }
 
 impl ShardRoute {
     /// The shard owning the flow between this node and `peer` on `tag`.
-    pub fn owner(&self, node: NodeId, peer: NodeId, tag: Tag) -> usize {
+    fn owner(&self, node: NodeId, peer: NodeId, tag: Tag) -> usize {
         self.policy.route(self.shards, node, peer, tag)
     }
 }
@@ -444,10 +444,10 @@ impl NmadEngine {
 
     /// The engine's counters with the endpoint-layer section folded in
     /// from the drivers (their cumulative [`nmad_net::EndpointStats`],
-    /// summed across rails). This is what snapshots and the threaded
-    /// mirror publish; the plain [`engine_metrics`](Self::engine_metrics)
-    /// cells never hold endpoint counts — the drivers own them.
-    pub fn merged_engine_metrics(&self) -> EngineMetrics {
+    /// summed across rails). This is what snapshots carry; the plain
+    /// [`engine_metrics`](Self::engine_metrics) cells never hold
+    /// endpoint counts — the drivers own them.
+    fn merged_engine_metrics(&self) -> EngineMetrics {
         let mut ep = nmad_net::EndpointStats::default();
         for nic in &self.nics {
             ep.absorb(&nic.driver.endpoint_stats());

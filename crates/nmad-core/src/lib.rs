@@ -65,13 +65,10 @@ pub mod wire;
 
 pub use api::{RecvHandle, RecvMessage, SendMessage};
 pub use engine::{
-    EngineConfig, EngineCosts, EngineDiagnostics, EngineStats, NmadEngine, ShardPolicy, ShardRoute,
+    EngineConfig, EngineCosts, EngineDiagnostics, EngineStats, NmadEngine, ShardPolicy,
 };
 pub use matching::{Effect, Matching, RecvDone};
-pub use metrics::{
-    EngineMetrics, LogHistogram, MetricsRegistry, MetricsSnapshot, NicMetrics, Seqlock,
-    SharedMetrics,
-};
+pub use metrics::{EngineMetrics, LogHistogram, MetricsRegistry, MetricsSnapshot, NicMetrics};
 pub use ring::{Batch, SubmitRing};
 pub use segment::{PackWrapper, Priority, RecvReqId, SendReqId, SeqNo, Tag, NUM_LANES};
 pub use strategy::{

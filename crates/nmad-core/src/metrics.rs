@@ -14,12 +14,11 @@
 //! * the **scheduling layer** counts synthesized frames, aggregated
 //!   entries (their ratio is the paper's headline aggregation metric),
 //!   reorder decisions and the eager/rendezvous split;
-//! * the **transfer layer** contributes per-NIC
-//!   [`LinkStats`](nmad_net::LinkStats) (busy/idle wire time,
-//!   retransmits, acks) straight from the drivers.
+//! * the **transfer layer** contributes per-NIC [`LinkStats`]
+//!   (busy/idle wire time, retransmits, acks) straight from the
+//!   drivers.
 
 use crate::engine::EngineStats;
-use crate::sync::{fence, spin_loop, AtomicU64, Ordering};
 use nmad_net::{EndpointStats, LinkStats};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
@@ -309,191 +308,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Number of `u64` counters mirrored through [`SharedMetrics`]:
-/// 24 [`EngineMetrics`] fields plus 9 [`EngineStats`] fields.
-const SHARED_WORDS: usize = 33;
-
-/// A single-writer seqlock over `N` words: the writer publishes a
-/// consistent array without ever blocking, readers retry torn reads.
-///
-/// The sequence word is odd while a publish is in flight and even while
-/// the cells are stable. A reader that observes the same even sequence
-/// before and after copying the cells holds a copy some writer actually
-/// published; the `Release` store on the writer side and the `Acquire`
-/// fence between the reader's copy and its re-check close the race on
-/// weak memory. All atomics go through [`crate::sync`], so the whole
-/// protocol — including a deliberately weakened mutant — is
-/// exhaustively model-checked under `cfg(nmad_model)`.
-#[derive(Debug)]
-pub struct Seqlock<const N: usize> {
-    /// Odd while a publish is in flight, even when the cells are stable.
-    seq: AtomicU64,
-    vals: [AtomicU64; N],
-}
-
-impl<const N: usize> Default for Seqlock<N> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const N: usize> Seqlock<N> {
-    /// An all-zero seqlock.
-    pub fn new() -> Self {
-        Seqlock {
-            seq: AtomicU64::new(0),
-            vals: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Writer side (single writer only): publishes a consistent copy of
-    /// `words`. Never blocks and never waits on readers.
-    pub fn publish(&self, words: &[u64; N]) {
-        let s = self.seq.load(Ordering::Relaxed);
-        debug_assert_eq!(s % 2, 0, "concurrent Seqlock writers");
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        for (cell, word) in self.vals.iter().zip(words) {
-            cell.store(*word, Ordering::Relaxed);
-        }
-        self.seq.store(s.wrapping_add(2), Ordering::Release);
-    }
-
-    /// Reader side (any thread): a consistent copy of the last
-    /// published words. Loops on torn reads; wait-free in practice
-    /// because the writer publishes in O(N stores).
-    pub fn read(&self) -> [u64; N] {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 % 2 == 1 {
-                spin_loop();
-                continue;
-            }
-            let words: [u64; N] = std::array::from_fn(|i| self.vals[i].load(Ordering::Relaxed));
-            fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == s1 {
-                return words;
-            }
-            spin_loop();
-        }
-    }
-}
-
-/// Seqlock-published mirror of the engine's hot counters for the
-/// threaded progression mode.
-///
-/// The progression thread owns the engine, so the plain-`u64` counters
-/// stay plain and lock-free on the progress path; after each pump it
-/// *publishes* a copy here through a [`Seqlock`]. Application threads
-/// read the mirror without taking any lock and without ever blocking
-/// the publisher: a torn read (publisher mid-write) is detected through
-/// the sequence word and retried, so a snapshot handed out is always
-/// one the publisher actually wrote — counters from progression threads
-/// can never race a half-updated view into a report.
-#[derive(Debug, Default)]
-pub struct SharedMetrics {
-    words: Seqlock<SHARED_WORDS>,
-}
-
-impl SharedMetrics {
-    /// An all-zero mirror.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Writer side (progression thread only): publishes a consistent
-    /// copy of the counters. Never blocks and never waits on readers.
-    pub fn publish(&self, engine: &EngineMetrics, wire: &EngineStats) {
-        self.words.publish(&flatten(engine, wire));
-    }
-
-    /// Reader side (any thread): a consistent copy of the last
-    /// published counters.
-    pub fn read(&self) -> (EngineMetrics, EngineStats) {
-        unflatten(&self.words.read())
-    }
-}
-
-fn flatten(e: &EngineMetrics, w: &EngineStats) -> [u64; SHARED_WORDS] {
-    [
-        e.requests_submitted,
-        e.recvs_posted,
-        e.bytes_enqueued,
-        e.window_depth_hwm,
-        e.frames_synthesized,
-        e.entries_aggregated,
-        e.eager_entries,
-        e.rendezvous_entries,
-        e.reorder_decisions,
-        e.rail_faults,
-        e.requeued_entries,
-        e.duplicates_dropped,
-        e.stale_cts_ignored,
-        e.gather_sends,
-        e.pool_hits,
-        e.pool_misses,
-        e.bytes_copied_rx,
-        e.ep_accepts,
-        e.ep_handshake_failures,
-        e.ep_teardowns,
-        e.ep_readiness_wakeups,
-        e.ep_sockets_polled,
-        e.ep_spurious_wakeups,
-        e.ep_backpressure_stalls,
-        w.frames_sent,
-        w.frames_received,
-        w.data_entries,
-        w.rts_entries,
-        w.cts_entries,
-        w.chunk_entries,
-        w.staging_copies,
-        w.credit_stalls,
-        w.credit_frames,
-    ]
-}
-
-fn unflatten(v: &[u64; SHARED_WORDS]) -> (EngineMetrics, EngineStats) {
-    (
-        EngineMetrics {
-            requests_submitted: v[0],
-            recvs_posted: v[1],
-            bytes_enqueued: v[2],
-            window_depth_hwm: v[3],
-            frames_synthesized: v[4],
-            entries_aggregated: v[5],
-            eager_entries: v[6],
-            rendezvous_entries: v[7],
-            reorder_decisions: v[8],
-            rail_faults: v[9],
-            requeued_entries: v[10],
-            duplicates_dropped: v[11],
-            stale_cts_ignored: v[12],
-            gather_sends: v[13],
-            pool_hits: v[14],
-            pool_misses: v[15],
-            bytes_copied_rx: v[16],
-            ep_accepts: v[17],
-            ep_handshake_failures: v[18],
-            ep_teardowns: v[19],
-            ep_readiness_wakeups: v[20],
-            ep_sockets_polled: v[21],
-            ep_spurious_wakeups: v[22],
-            ep_backpressure_stalls: v[23],
-        },
-        EngineStats {
-            frames_sent: v[24],
-            frames_received: v[25],
-            data_entries: v[26],
-            rts_entries: v[27],
-            cts_entries: v[28],
-            chunk_entries: v[29],
-            staging_copies: v[30],
-            credit_stalls: v[31],
-            credit_frames: v[32],
-        },
-    )
-}
-
 /// Sub-bucket resolution of [`LogHistogram`]: each power-of-two range
 /// splits into `2^LOG_HIST_SUB_BITS` linear sub-buckets, bounding the
 /// relative quantile error at `2^-LOG_HIST_SUB_BITS` (~3.1%).
@@ -509,12 +323,12 @@ const LOG_HIST_BUCKETS: usize = LOG_HIST_SUBS * (64 - LOG_HIST_SUB_BITS as usize
 /// HDR-style log-bucketed histogram over `u64` values.
 ///
 /// Fixed memory, allocation-free recording: values bucket by their
-/// binary exponent with [`LOG_HIST_SUBS`] linear sub-buckets per
-/// octave, so any quantile is reproduced within ~3.1% relative error
-/// across the entire `u64` range — exactly what full-percentile
-/// latency reporting (p50 through p99.99) needs without keeping every
-/// sample. Exact min and max are tracked on the side so the extreme
-/// quantiles never drift outside the observed range.
+/// binary exponent with 32 linear sub-buckets per octave, so any
+/// quantile is reproduced within ~3.1% relative error across the
+/// entire `u64` range — exactly what full-percentile latency reporting
+/// (p50 through p99.99) needs without keeping every sample. Exact min
+/// and max are tracked on the side so the extreme quantiles never
+/// drift outside the observed range.
 #[derive(Clone, Debug)]
 pub struct LogHistogram {
     counts: Box<[u64; LOG_HIST_BUCKETS]>,
@@ -668,47 +482,56 @@ fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Every counter holds a distinct non-zero value, numbered in
+    /// declaration order (24 engine, 9 wire, 4 link counters), so a
+    /// dropped, renamed or swapped key changes the rendered JSON.
     fn sample() -> MetricsSnapshot {
         MetricsSnapshot {
             strategy: "aggreg",
             engine: EngineMetrics {
-                requests_submitted: 8,
-                recvs_posted: 8,
-                bytes_enqueued: 512,
-                window_depth_hwm: 7,
-                frames_synthesized: 2,
-                entries_aggregated: 8,
-                eager_entries: 8,
-                rendezvous_entries: 0,
-                reorder_decisions: 1,
-                rail_faults: 1,
-                requeued_entries: 5,
-                duplicates_dropped: 2,
-                stale_cts_ignored: 1,
-                gather_sends: 2,
-                pool_hits: 6,
-                pool_misses: 2,
-                bytes_copied_rx: 128,
-                ep_accepts: 11,
-                ep_handshake_failures: 1,
-                ep_teardowns: 4,
-                ep_readiness_wakeups: 40,
-                ep_sockets_polled: 55,
-                ep_spurious_wakeups: 3,
-                ep_backpressure_stalls: 2,
+                requests_submitted: 1,
+                recvs_posted: 2,
+                bytes_enqueued: 3,
+                window_depth_hwm: 4,
+                frames_synthesized: 5,
+                entries_aggregated: 6,
+                eager_entries: 7,
+                rendezvous_entries: 8,
+                reorder_decisions: 9,
+                rail_faults: 10,
+                requeued_entries: 11,
+                duplicates_dropped: 12,
+                stale_cts_ignored: 13,
+                gather_sends: 14,
+                pool_hits: 15,
+                pool_misses: 16,
+                bytes_copied_rx: 17,
+                ep_accepts: 18,
+                ep_handshake_failures: 19,
+                ep_teardowns: 20,
+                ep_readiness_wakeups: 21,
+                ep_sockets_polled: 22,
+                ep_spurious_wakeups: 23,
+                ep_backpressure_stalls: 24,
             },
             wire: EngineStats {
-                frames_sent: 2,
-                data_entries: 8,
-                ..EngineStats::default()
+                frames_sent: 25,
+                frames_received: 26,
+                data_entries: 27,
+                rts_entries: 28,
+                cts_entries: 29,
+                chunk_entries: 30,
+                staging_copies: 31,
+                credit_stalls: 32,
+                credit_frames: 33,
             },
             nics: vec![NicMetrics {
                 name: "MX/\"Myri-10G\"".to_string(),
                 link: LinkStats {
-                    busy_ns: 100,
-                    idle_ns: 50,
-                    retransmits: 3,
-                    acks: 4,
+                    busy_ns: 34,
+                    idle_ns: 35,
+                    retransmits: 36,
+                    acks: 37,
                 },
             }],
         }
@@ -735,35 +558,29 @@ mod tests {
 
     #[test]
     fn snapshot_json_is_complete_and_escaped() {
-        let json = sample().to_json();
-        assert!(json.contains("\"strategy\":\"aggreg\""));
-        assert!(json.contains("\"requests_submitted\":8"));
-        assert!(json.contains("\"aggregation_ratio\":4.0000"));
-        assert!(json.contains("\"reorder_decisions\":1"));
-        assert!(json.contains("\"rail_faults\":1"));
-        assert!(json.contains("\"requeued_entries\":5"));
-        assert!(json.contains("\"duplicates_dropped\":2"));
-        assert!(json.contains("\"stale_cts_ignored\":1"));
-        assert!(json.contains("\"gather_sends\":2"));
-        assert!(json.contains("\"pool_hits\":6"));
-        assert!(json.contains("\"pool_misses\":2"));
-        assert!(json.contains("\"bytes_copied_rx\":128"));
-        assert!(json.contains("\"endpoint\":{\"accepts\":11"));
-        assert!(json.contains("\"readiness_wakeups\":40"));
-        assert!(json.contains("\"sockets_polled\":55"));
-        assert!(json.contains("\"spurious_wakeups\":3"));
-        assert!(json.contains("\"backpressure_stalls\":2"));
-        assert!(json.contains("\"retransmits\":3"));
-        assert!(json.contains("\"acks\":4"));
-        // The quote inside the NIC name must be escaped.
-        assert!(json.contains("MX/\\\"Myri-10G\\\""));
-        // Balanced braces/brackets — cheap structural sanity check.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in {json}"
+        // The whole rendering, key by key: the quote inside the NIC name
+        // is escaped, and aggregation_ratio is entries/frames = 6/5.
+        let expected = concat!(
+            r#"{"strategy":"aggreg","#,
+            r#""collect":{"requests_submitted":1,"recvs_posted":2,"bytes_enqueued":3,"#,
+            r#""window_depth_hwm":4},"#,
+            r#""scheduling":{"frames_synthesized":5,"entries_aggregated":6,"#,
+            r#""aggregation_ratio":1.2000,"eager_entries":7,"rendezvous_entries":8,"#,
+            r#""reorder_decisions":9},"#,
+            r#""faults":{"rail_faults":10,"requeued_entries":11,"duplicates_dropped":12,"#,
+            r#""stale_cts_ignored":13},"#,
+            r#""zero_copy":{"gather_sends":14,"pool_hits":15,"pool_misses":16,"#,
+            r#""bytes_copied_rx":17},"#,
+            r#""endpoint":{"accepts":18,"handshake_failures":19,"teardowns":20,"#,
+            r#""readiness_wakeups":21,"sockets_polled":22,"spurious_wakeups":23,"#,
+            r#""backpressure_stalls":24},"#,
+            r#""wire":{"frames_sent":25,"frames_received":26,"data_entries":27,"#,
+            r#""rts_entries":28,"cts_entries":29,"chunk_entries":30,"staging_copies":31,"#,
+            r#""credit_stalls":32,"credit_frames":33},"#,
+            r#""nics":[{"name":"MX/\"Myri-10G\"","busy_ns":34,"idle_ns":35,"#,
+            r#""retransmits":36,"acks":37}]}"#,
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(sample().to_json(), expected);
     }
 
     #[test]
@@ -814,21 +631,6 @@ mod tests {
         sum.absorb(&m);
         assert_eq!(sum.ep_accepts, 2);
         assert_eq!(sum.ep_backpressure_stalls, 14);
-    }
-
-    #[test]
-    fn shared_metrics_roundtrip_every_field() {
-        // Distinct values per field so a swapped flatten/unflatten slot
-        // cannot cancel out.
-        let mut words = [0u64; SHARED_WORDS];
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = 100 + i as u64;
-        }
-        let (e, w) = unflatten(&words);
-        assert_eq!(flatten(&e, &w), words);
-        let shared = SharedMetrics::new();
-        shared.publish(&e, &w);
-        assert_eq!(shared.read(), (e, w));
     }
 
     #[test]
@@ -901,35 +703,5 @@ mod tests {
             (tail as f64 - 1_000_000.0).abs() / 1_000_000.0 <= 0.04,
             "p99.99 missed the outlier: {tail}"
         );
-    }
-
-    #[test]
-    fn threaded_shared_metrics_reads_never_tear() {
-        use crate::sync::AtomicBool;
-        use std::sync::Arc;
-
-        let shared = Arc::new(SharedMetrics::new());
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    // Every word equals `i`: any torn read mixes two
-                    // publishes and shows up as unequal words.
-                    let (e, w) = unflatten(&[i; SHARED_WORDS]);
-                    shared.publish(&e, &w);
-                    i = i.wrapping_add(1);
-                }
-            })
-        };
-        for _ in 0..200_000 {
-            let (e, w) = shared.read();
-            let words = flatten(&e, &w);
-            assert!(words.iter().all(|&x| x == words[0]), "torn read: {words:?}");
-        }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
     }
 }

@@ -19,9 +19,9 @@
 //!   (io_uring-style), so a burst pays one CAS per `SLOT_OPS` ops and
 //!   one wakeup total instead of one of each per op.
 //! * **completions** come back through a sharded [`CompletionBoard`]
-//!   that `test`/`wait` poll without touching the engine, and hot
-//!   counters through a seqlock-published
-//!   [`SharedMetrics`](crate::metrics::SharedMetrics) mirror.
+//!   that `test`/`wait` poll without touching the engine, and counters
+//!   through [`ThreadedHandle::metrics`], a snapshot the progression
+//!   threads take between pumps.
 //!
 //! ## Sharding
 //!
@@ -60,7 +60,7 @@ use crate::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 
 use crate::engine::{EngineConfig, NmadEngine, ShardPolicy};
 use crate::matching::RecvDone;
-use crate::metrics::{EngineMetrics, MetricsSnapshot, NicMetrics, SharedMetrics};
+use crate::metrics::{EngineMetrics, MetricsSnapshot, NicMetrics};
 use crate::ring::{Batch, SubmitRing};
 use crate::segment::{Priority, RecvReqId, SendReqId, Tag};
 use crate::EngineStats;
@@ -239,20 +239,12 @@ impl CompletionBoard {
 /// on submitters instead of growing.
 const SUBMIT_RING_CAPACITY: usize = 1024;
 
-/// Per-shard half of the shared state: one submission ring and one hot
-/// mirror per progression thread, so shards never contend on the
-/// submit or publish path.
-struct ShardShared {
-    ring: SubmitRing<OpBatch>,
-    /// Seqlock mirror of this shard's hot counters, published after
-    /// every pump.
-    hot: SharedMetrics,
-}
-
 /// State shared between application threads and the progression
 /// shards.
 struct Shared {
-    shards: Vec<ShardShared>,
+    /// One submission ring per progression shard, so shards never
+    /// contend on the submit path.
+    rings: Vec<SubmitRing<OpBatch>>,
     node: NodeId,
     /// One global id-keyed board: waiters don't care which shard
     /// completed their request.
@@ -274,7 +266,7 @@ struct Shared {
 impl Shared {
     fn route(&self, peer: NodeId, tag: Tag) -> usize {
         // Identical to the split the engine did at launch.
-        ShardPolicy::HashByDest.route(self.shards.len(), self.node, peer, tag)
+        ShardPolicy::HashByDest.route(self.rings.len(), self.node, peer, tag)
     }
 }
 
@@ -290,7 +282,7 @@ pub struct ThreadedEngine {
 }
 
 /// Cloneable application-side handle to a [`ThreadedEngine`]: submit
-/// through the ring, poll the completion board, read mirrored metrics.
+/// through the ring, poll the completion board, snapshot the metrics.
 #[derive(Clone)]
 pub struct ThreadedHandle {
     shared: Arc<Shared>,
@@ -329,11 +321,8 @@ impl ThreadedEngine {
             vec![engine]
         };
         let shared = Arc::new(Shared {
-            shards: (0..shards)
-                .map(|_| ShardShared {
-                    ring: SubmitRing::new(SUBMIT_RING_CAPACITY),
-                    hot: SharedMetrics::new(),
-                })
+            rings: (0..shards)
+                .map(|_| SubmitRing::new(SUBMIT_RING_CAPACITY))
                 .collect(),
             node,
             board: CompletionBoard::new(shards),
@@ -378,7 +367,7 @@ impl ThreadedEngine {
     /// Progression shards this runtime is running (after the launch
     /// clamp to the rail count).
     pub fn shards(&self) -> usize {
-        self.shared.shards.len()
+        self.shared.rings.len()
     }
 
     /// Stops every progression shard — after draining its ring and
@@ -386,8 +375,8 @@ impl ThreadedEngine {
     /// for inline use. Completions still parked on the board are
     /// dropped with it.
     pub fn shutdown(mut self) -> NmadEngine {
-        for shard in &self.shared.shards {
-            shard.ring.push(Batch::of_one(EngineOp::Shutdown));
+        for ring in &self.shared.rings {
+            ring.push(Batch::of_one(EngineOp::Shutdown));
         }
         let parts: Vec<NmadEngine> = self
             .threads
@@ -411,8 +400,8 @@ impl Drop for ThreadedEngine {
         if self.threads.is_empty() {
             return;
         }
-        for shard in &self.shared.shards {
-            shard.ring.push(Batch::of_one(EngineOp::Shutdown));
+        for ring in &self.shared.rings {
+            ring.push(Batch::of_one(EngineOp::Shutdown));
         }
         // The engines are discarded; a panic on a progression thread
         // surfaces at the join unless we are already unwinding.
@@ -453,7 +442,7 @@ impl ThreadedHandle {
 
     /// Progression shards behind this handle.
     pub fn shards(&self) -> usize {
-        self.shared.shards.len()
+        self.shared.rings.len()
     }
 
     /// The shard owning flow (peer, tag) — where a submission for that
@@ -476,15 +465,13 @@ impl ThreadedHandle {
     ) -> SendReqId {
         let req = SendReqId(self.alloc());
         let shard = self.shared.route(dst, tag);
-        self.shared.shards[shard]
-            .ring
-            .push(Batch::of_one(EngineOp::Send {
-                req,
-                dst,
-                tag,
-                parts,
-                rail_hint,
-            }));
+        self.shared.rings[shard].push(Batch::of_one(EngineOp::Send {
+            req,
+            dst,
+            tag,
+            parts,
+            rail_hint,
+        }));
         req
     }
 
@@ -500,9 +487,7 @@ impl ThreadedHandle {
     pub fn post_recv(&self, src: NodeId, tag: Tag, max: usize) -> RecvReqId {
         let req = RecvReqId(self.alloc());
         let shard = self.shared.route(src, tag);
-        self.shared.shards[shard]
-            .ring
-            .push(Batch::of_one(EngineOp::Recv { req, src, tag, max }));
+        self.shared.rings[shard].push(Batch::of_one(EngineOp::Recv { req, src, tag, max }));
         req
     }
 
@@ -513,7 +498,7 @@ impl ThreadedHandle {
     /// can be waited on — after the flush — exactly like single
     /// submissions.
     pub fn submit_batch(&self) -> SubmitBatch<'_> {
-        let shards = self.shared.shards.len();
+        let shards = self.shared.rings.len();
         SubmitBatch {
             handle: self,
             shards,
@@ -594,20 +579,6 @@ impl ThreadedHandle {
         out.into_iter().map(|d| d.expect("all taken")).collect()
     }
 
-    /// The hot counters as last published by the progression threads
-    /// (seqlock reads: never torn, never blocking a publisher), summed
-    /// across shards. Lags each shard's engine by at most one pump.
-    pub fn hot_metrics(&self) -> (EngineMetrics, EngineStats) {
-        let mut engine = EngineMetrics::default();
-        let mut wire = EngineStats::default();
-        for shard in &self.shared.shards {
-            let (m, w) = shard.hot.read();
-            engine.absorb(&m);
-            wire.absorb(&w);
-        }
-        (engine, wire)
-    }
-
     /// A full [`MetricsSnapshot`] including per-NIC link counters,
     /// taken *on the progression threads* between pumps — each shard's
     /// totals are exact at the moment its snapshot is taken, like the
@@ -615,15 +586,15 @@ impl ThreadedHandle {
     /// per-shard snapshots are aggregated: counters sum, NIC rows come
     /// back in global rail order.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let n = self.shared.shards.len();
+        let n = self.shared.rings.len();
         // One requester at a time owns the RPC slots.
         let _serial = self.shared.snap_serial.lock();
         {
             let mut slot = self.shared.snap_slot.lock();
             *slot = (0..n).map(|_| None).collect();
         }
-        for shard in &self.shared.shards {
-            shard.ring.push(Batch::of_one(EngineOp::Snapshot));
+        for ring in &self.shared.rings {
+            ring.push(Batch::of_one(EngineOp::Snapshot));
         }
         let mut slot = self.shared.snap_slot.lock();
         loop {
@@ -777,7 +748,7 @@ impl SubmitBatch<'_> {
     /// (the consumer may be parked behind our own unflushed work) and a
     /// yield, never a drop.
     fn push_slot(&self, shard: usize, mut slot: OpBatch) {
-        let ring = &self.handle.shared.shards[shard].ring;
+        let ring = &self.handle.shared.rings[shard];
         loop {
             match ring.try_push_quiet(slot) {
                 Ok(()) => return,
@@ -844,7 +815,7 @@ impl SubmitBatch<'_> {
             self.push_slot(0, full);
         }
         if self.primary_staged > 0 {
-            self.handle.shared.shards[0].ring.doorbell();
+            self.handle.shared.rings[0].doorbell();
             self.primary_staged = 0;
         }
         for shard in 1..self.shards {
@@ -853,7 +824,7 @@ impl SubmitBatch<'_> {
                 self.push_slot(shard, full);
             }
             if self.rest[shard - 1].1 > 0 {
-                self.handle.shared.shards[shard].ring.doorbell();
+                self.handle.shared.rings[shard].doorbell();
                 self.rest[shard - 1].1 = 0;
             }
         }
@@ -875,20 +846,20 @@ const SUBMIT_BATCH: usize = 256;
 const IDLE_PARK: Duration = Duration::from_micros(200);
 
 /// A progression shard's thread body: drain the submission ring, pump
-/// the engine, harvest completions, publish metrics, park when idle.
+/// the engine, harvest completions, park when idle.
 /// Every shard count runs the same loop: shards share nothing but the
 /// board, the id watermark and the liveness flag.
 // HOT-PATH: shard pump loop
 fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
     let mut shutting_down = false;
-    let my = &shared.shards[shard]; // PANIC-OK: shard < shards.len() by the spawn loop
+    let ring = &shared.rings[shard]; // PANIC-OK: shard < rings.len() by the spawn loop
     loop {
         // 1. Drain a bounded batch of submissions: one ring pop hands
         // over a whole slot of up to SLOT_OPS operations, so the
         // per-slot synchronization cost is amortized across the run.
         let mut drained = 0usize;
         while drained < SUBMIT_BATCH {
-            let Some(batch) = my.ring.pop() else {
+            let Some(batch) = ring.pop() else {
                 break;
             };
             for op in batch {
@@ -935,10 +906,6 @@ fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
         shared.board.post_sends_done(&done_sends);
         shared.board.post_recvs_done(done_recvs);
 
-        // 4. Mirror the hot counters.
-        my.hot
-            .publish(&engine.merged_engine_metrics(), engine.stats());
-
         // Another shard died: exit even if not quiescent, so shutdown
         // joins don't hang behind work that can never finish.
         // ORDERING: advisory liveness flag; the error message travels under the board mutex
@@ -946,17 +913,17 @@ fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
             break;
         }
 
-        if shutting_down && my.ring.is_empty() && engine.tx_quiescent() {
+        if shutting_down && ring.is_empty() && engine.tx_quiescent() {
             break;
         }
 
-        // 5. Pace: spin while work is outstanding, park on the ring
+        // 4. Pace: spin while work is outstanding, park on the ring
         // otherwise.
         if !moved && !harvested && drained == 0 {
             if engine.has_outstanding() || shutting_down {
                 std::thread::yield_now();
             } else {
-                my.ring.wait_nonempty(IDLE_PARK);
+                ring.wait_nonempty(IDLE_PARK);
             }
         }
     }
@@ -1204,7 +1171,7 @@ mod tests {
     }
 
     #[test]
-    fn threaded_metrics_snapshot_is_exact_and_hot_mirror_converges() {
+    fn threaded_metrics_snapshot_is_exact() {
         let (a, b) = mem_pair();
         let (ah, bh) = (a.handle(), b.handle());
         let n = 8u32;
@@ -1227,15 +1194,6 @@ mod tests {
         assert_eq!(snap.engine.eager_entries, u64::from(n));
         assert_eq!(snap.wire.data_entries, u64::from(n));
         assert_eq!(snap.nics.len(), 1);
-        // The seqlock mirror converges to the same totals.
-        for _ in 0..1_000_000 {
-            let (hot, wire) = ah.hot_metrics();
-            if hot == snap.engine && wire == snap.wire {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        panic!("hot mirror never converged to the snapshot totals");
     }
 
     #[test]
@@ -1259,6 +1217,19 @@ mod tests {
         for (t, done) in dones.iter().enumerate() {
             assert_eq!(done.data, vec![t as u8; 48], "payload for tag {t}");
             assert_eq!(done.src, NodeId(0));
+        }
+
+        // One send of three parts crosses the ring as one op; its
+        // segments land on three in-order receives of the same flow.
+        let tag = Tag(n);
+        let recvs: Vec<_> = (0..3).map(|_| bh.post_recv(NodeId(0), tag, 16)).collect();
+        let parts = (0..3u8)
+            .map(|i| (Bytes::from(vec![i; 8 + usize::from(i)]), Priority::Normal))
+            .collect();
+        let s = ah.submit_send_parts(NodeId(1), tag, parts, None);
+        ah.wait_send(s);
+        for (i, done) in bh.wait_recvs(&recvs).iter().enumerate() {
+            assert_eq!(done.data, vec![i as u8; 8 + i], "part {i}");
         }
         assert_eq!(ah.completion_duplicates(), 0);
         assert_eq!(bh.completion_duplicates(), 0);
@@ -1324,14 +1295,6 @@ mod tests {
         assert_eq!(snap.engine.requests_submitted, u64::from(n));
         assert_eq!(snap.wire.data_entries, u64::from(n));
         assert_eq!(snap.nics.len(), 2, "both rails in the aggregate");
-        for _ in 0..1_000_000 {
-            let (hot, wire) = ah.hot_metrics();
-            if hot == snap.engine && wire == snap.wire {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        panic!("sharded hot mirror never converged to the snapshot totals");
     }
 
     /// A transport error kills the shard that hits it, waiters panic

@@ -18,7 +18,6 @@
 
 use nmad_core::ring::{Batch, SubmitRing};
 use nmad_core::sync::{fence, spin_loop, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
-use nmad_core::Seqlock;
 use nmad_verify::{thread, Checker};
 use std::sync::Arc;
 use std::time::Duration;
@@ -120,44 +119,48 @@ fn model_ring_wakeup_never_needs_the_timeout() {
 }
 
 /// The batched slot protocol: a producer stages two slots with
-/// `push_quiet` and rings the doorbell **once**, after the last push.
-/// In every schedule the parked consumer is woken without its timeout
-/// firing, and the flattened slots preserve FIFO across the whole run —
-/// the exact invariant `SubmitBatch::flush` relies on.
+/// `push_quiet` and rings the doorbell **once**, after the last push,
+/// and the consumer must get the flattened slots back in FIFO order.
+fn batched_slots_flatten_fifo() {
+    let ring: Arc<SubmitRing<Batch<u64, 2>>> = Arc::new(SubmitRing::new(2));
+    let r = Arc::clone(&ring);
+    let consumer = thread::spawn(move || {
+        let mut got = Vec::new();
+        while got.len() < 4 {
+            match r.pop() {
+                Some(slot) => got.extend(slot),
+                None => {
+                    r.wait_nonempty(Duration::from_millis(1));
+                }
+            }
+        }
+        got
+    });
+    let mut s1 = Batch::<u64, 2>::new();
+    s1.push(1).unwrap();
+    s1.push(2).unwrap();
+    let mut s2 = Batch::<u64, 2>::new();
+    s2.push(3).unwrap();
+    s2.push(4).unwrap();
+    ring.push_quiet(s1);
+    ring.push_quiet(s2);
+    ring.doorbell();
+    assert_eq!(
+        consumer.join(),
+        [1, 2, 3, 4],
+        "flattened slots broke FIFO or lost an op"
+    );
+}
+
+/// [`batched_slots_flatten_fifo`] in every schedule: the parked
+/// consumer is woken without its timeout firing, and the flattened
+/// slots preserve FIFO across the whole run — the exact invariant
+/// `SubmitBatch::flush` relies on.
 #[test]
 fn model_ring_batched_slots_flatten_fifo() {
     let stats = Checker::new()
         .max_schedules(15_000)
-        .check(|| {
-            let ring: Arc<SubmitRing<Batch<u64, 2>>> = Arc::new(SubmitRing::new(2));
-            let r = Arc::clone(&ring);
-            let consumer = thread::spawn(move || {
-                let mut got = Vec::new();
-                while got.len() < 4 {
-                    match r.pop() {
-                        Some(slot) => got.extend(slot),
-                        None => {
-                            r.wait_nonempty(Duration::from_millis(1));
-                        }
-                    }
-                }
-                got
-            });
-            let mut s1 = Batch::<u64, 2>::new();
-            s1.push(1).unwrap();
-            s1.push(2).unwrap();
-            let mut s2 = Batch::<u64, 2>::new();
-            s2.push(3).unwrap();
-            s2.push(4).unwrap();
-            ring.push_quiet(s1);
-            ring.push_quiet(s2);
-            ring.doorbell();
-            assert_eq!(
-                consumer.join(),
-                [1, 2, 3, 4],
-                "flattened slots broke FIFO or lost an op"
-            );
-        })
+        .check(batched_slots_flatten_fifo)
         .expect("batched slot protocol must hold in every schedule");
     assert!(
         stats.schedules >= 100,
@@ -263,97 +266,6 @@ fn model_ring_wakeup_fence_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Seqlock: reads are never torn; the weakened mutant is.
-// ---------------------------------------------------------------------
-
-/// Every read returns a pair some publish actually wrote — never a mix
-/// of two publishes — in every schedule and for every weak-memory load
-/// result.
-#[test]
-fn model_seqlock_reads_never_tear() {
-    let stats = Checker::new()
-        .max_schedules(15_000)
-        .check(|| {
-            let lock = Arc::new(Seqlock::<2>::new());
-            let l = Arc::clone(&lock);
-            let writer = thread::spawn(move || {
-                l.publish(&[7, 7]);
-                l.publish(&[9, 9]);
-            });
-            let words = lock.read();
-            assert_eq!(
-                words[0], words[1],
-                "torn seqlock read: {words:?} mixes two publishes"
-            );
-            assert!(matches!(words[0], 0 | 7 | 9), "value from nowhere");
-            writer.join();
-        })
-        .expect("seqlock reads must be tear-free in every schedule");
-    assert!(
-        stats.schedules >= 100,
-        "seqlock model underexplored: {stats:?}"
-    );
-}
-
-/// Mutant: a seqlock whose publish skips the `Release` fence/store and
-/// whose read skips the `Acquire` edges — all `Relaxed`. The sequence
-/// check can then validate a torn pair, and the checker must find the
-/// schedule (and load result) where it does.
-#[test]
-fn model_seqlock_relaxed_mutant_is_torn() {
-    struct WeakSeqlock {
-        seq: AtomicU64,
-        vals: [AtomicU64; 2],
-    }
-    impl WeakSeqlock {
-        fn publish(&self, words: &[u64; 2]) {
-            let s = self.seq.load(Ordering::Relaxed);
-            self.seq.store(s + 1, Ordering::Relaxed);
-            // mutant: no Release fence
-            for (cell, w) in self.vals.iter().zip(words) {
-                cell.store(*w, Ordering::Relaxed);
-            }
-            self.seq.store(s + 2, Ordering::Relaxed); // mutant: not Release
-        }
-        fn read(&self) -> Option<[u64; 2]> {
-            let s1 = self.seq.load(Ordering::Relaxed); // mutant: not Acquire
-            if s1 % 2 == 1 {
-                return None;
-            }
-            let words = [
-                self.vals[0].load(Ordering::Relaxed),
-                self.vals[1].load(Ordering::Relaxed),
-            ];
-            // mutant: no Acquire fence
-            if self.seq.load(Ordering::Relaxed) == s1 {
-                Some(words)
-            } else {
-                None
-            }
-        }
-    }
-    let failure = Checker::new()
-        .max_schedules(30_000)
-        .check(|| {
-            let lock = Arc::new(WeakSeqlock {
-                seq: AtomicU64::new(0),
-                vals: [AtomicU64::new(0), AtomicU64::new(0)],
-            });
-            let l = Arc::clone(&lock);
-            let writer = thread::spawn(move || l.publish(&[7, 7]));
-            if let Some(words) = lock.read() {
-                assert_eq!(words[0], words[1], "torn read validated: {words:?}");
-            }
-            writer.join();
-        })
-        .expect_err("the relaxed seqlock mutant must be caught");
-    assert!(
-        failure.message.contains("torn read validated"),
-        "wrong failure: {failure}"
-    );
-}
-
-// ---------------------------------------------------------------------
 // Request-id watermark: unique, monotone allocation.
 // ---------------------------------------------------------------------
 
@@ -416,10 +328,11 @@ fn model_id_watermark_load_store_mutant_is_caught() {
 // ---------------------------------------------------------------------
 
 /// The suites above individually assert correctness; this one pins the
-/// *amount* of state space they cover. Re-runs the three protocol
-/// models and requires ≥ 10 000 distinct schedules in total, so a
-/// future change that silently guts the exploration (say, an
-/// over-eager dedup) fails loudly.
+/// *amount* of state space they cover. Re-runs three protocol models
+/// (racing ring producers, batched slots behind one doorbell, and the
+/// fenced Dekker core of the wakeup handshake) and requires ≥ 10 000
+/// distinct schedules in total, so a future change that silently guts
+/// the exploration (say, an over-eager dedup) fails loudly.
 #[test]
 fn model_exploration_covers_ten_thousand_schedules() {
     let ring = Checker::new()
@@ -440,25 +353,10 @@ fn model_exploration_covers_ten_thousand_schedules() {
             p2.join();
         })
         .expect("ring model is correct");
-    let seqlock = Checker::new()
-        .max_schedules(8_000)
-        .check(|| {
-            let lock = Arc::new(Seqlock::<2>::new());
-            let (l1, l2) = (Arc::clone(&lock), Arc::clone(&lock));
-            let writer = thread::spawn(move || {
-                l1.publish(&[7, 7]);
-                l1.publish(&[9, 9]);
-            });
-            let reader = thread::spawn(move || {
-                let w = l2.read();
-                assert_eq!(w[0], w[1]);
-            });
-            let w = lock.read();
-            assert_eq!(w[0], w[1]);
-            writer.join();
-            reader.join();
-        })
-        .expect("seqlock model is correct");
+    let batched = Checker::new()
+        .max_schedules(2_500)
+        .check(batched_slots_flatten_fifo)
+        .expect("batched slot model is correct");
     let fence_dekker = Checker::new()
         .check(|| {
             // Store-buffering core of the ring's wakeup handshake.
@@ -480,13 +378,13 @@ fn model_exploration_covers_ten_thousand_schedules() {
             );
         })
         .expect("fenced store-buffering is correct");
-    let total = ring.schedules + seqlock.schedules + fence_dekker.schedules;
+    let total = ring.schedules + batched.schedules + fence_dekker.schedules;
     assert!(
         total >= 10_000,
         "exploration volume regressed below 10k schedules: \
-         ring={} seqlock={} dekker={}",
+         ring={} batched={} dekker={}",
         ring.schedules,
-        seqlock.schedules,
+        batched.schedules,
         fence_dekker.schedules
     );
 }

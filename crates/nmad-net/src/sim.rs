@@ -1,5 +1,5 @@
-//! Simulated drivers: bind one node × rail of a [`SimWorld`] to the
-//! [`Driver`] trait.
+//! Simulated drivers: bind one node × rail of a
+//! [`nmad_sim::SimWorld`] to the [`Driver`] trait.
 //!
 //! One `SimDriver` plays the role of the MX, Elan, GM or SISCI transfer
 //! module of the paper, depending on the NIC model the rail was

@@ -1,6 +1,6 @@
 //! Text rendering of simulation traces.
 //!
-//! Turns a [`Trace`](crate::trace::Trace) into a compact, human-readable
+//! Turns a [`Trace`] into a compact, human-readable
 //! timeline — one line per event plus a per-node lane summary. Used when
 //! debugging scheduling decisions ("why did this frame leave late?") and
 //! in tests that want readable failure dumps.

@@ -4,8 +4,8 @@
 //!
 //! * A **bounded exhaustive model checker** ([`Checker`]) for the
 //!   lock-free primitives behind the threaded progression engine
-//!   (submit ring, seqlock metrics snapshots, completion board,
-//!   request-id watermark). Code written against the [`sync`] facade
+//!   (submit ring, batched slots, completion board, request-id
+//!   watermark). Code written against the [`sync`] facade
 //!   runs unchanged; inside a [`Checker::check`] closure every atomic
 //!   operation, fence, lock, and park becomes a decision point, and
 //!   the checker enumerates thread interleavings *and* weak-memory

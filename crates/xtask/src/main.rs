@@ -55,7 +55,7 @@ fn usage() {
     );
 }
 
-/// Workspace root: xtask lives at <root>/crates/xtask.
+/// Workspace root: xtask lives at `<root>/crates/xtask`.
 fn workspace_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest
