@@ -20,14 +20,11 @@ use nmad_net::{Driver, LossyDriver, ReliableDriver, SelectiveDriver, SimCpuMeter
 use nmad_sim::{nic, run_until, shared_world, NodeId, RailId, SharedWorld, SimConfig, SimTime};
 use std::ops::ControlFlow;
 
-// Per-protocol retransmission timeouts, each sized to its own hazard:
-// go-back-N must cover the round trip of its whole outstanding window
-// (both data frames, one of them carrying the eager bulk message) or it
-// retransmits spuriously; selective repeat only needs one frame + ack
-// (the 64,000 B bulk message is ~0.6 ms of serialization on this
-// fabric).
-const GBN_RTO_NS: u64 = 5_000_000;
-const SR_RTO_NS: u64 = 1_500_000;
+// One retransmission timeout for both protocols, so the table compares
+// protocols rather than timeouts: about twice the modelled round trip
+// of the workload's largest frame (64,000 B at 110 MB/s is ~0.58 ms of
+// serialization, plus 2 x 45 us of latency).
+const RTO_NS: u64 = 1_500_000;
 const BURST: u32 = 40;
 const BURST_BYTES: usize = 512;
 const BULK_BYTES: usize = 64_000;
@@ -51,10 +48,8 @@ fn engine(world: &SharedWorld, node: u32, loss: f64, seed: u64, proto: Protocol)
     let wake: Box<dyn Fn(u64) + Send> =
         Box::new(move |t| ww.lock().schedule_wakeup(SimTime::from_ns(t)));
     let driver: Box<dyn Driver> = match proto {
-        Protocol::GoBackN => Box::new(ReliableDriver::new(lossy, now, Some(wake), GBN_RTO_NS)),
-        Protocol::SelectiveRepeat => {
-            Box::new(SelectiveDriver::new(lossy, now, Some(wake), SR_RTO_NS))
-        }
+        Protocol::GoBackN => Box::new(ReliableDriver::new(lossy, now, Some(wake), RTO_NS)),
+        Protocol::SelectiveRepeat => Box::new(SelectiveDriver::new(lossy, now, Some(wake), RTO_NS)),
     };
     let meter = Box::new(SimCpuMeter::new(world.clone(), NodeId(node)));
     NmadEngine::new(

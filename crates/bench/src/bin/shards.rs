@@ -1,9 +1,9 @@
-//! Shard-scaling study: aggregate throughput of the sharded progression
-//! runtime as the shard count grows 1 → 8.
+//! Shard-scaling study: aggregate throughput of split engines as the
+//! shard count grows 1 → 8.
 //!
 //! Each shard count `n` stands up two nodes with `n` identical
-//! simulated rails, splits each node's engine into `n` progression
-//! shards (`NmadEngine::split_for_shards`, `ShardPolicy::HashByDest`),
+//! simulated rails, splits each node's engine into `n` split engines
+//! (`NmadEngine::split_for_shards`, `ShardPolicy::HashByDest`),
 //! and pushes a fixed fleet of flows through: every flow hashes to one
 //! shard on both nodes and rides that shard's rails. With the total
 //! byte volume held constant, aggregate throughput (bytes over virtual
@@ -13,8 +13,10 @@
 //! The shards are **co-simulated inline** on one OS thread: the
 //! discrete-event simulator owns virtual time, so progression threads
 //! would add nothing but nondeterminism. What is measured is exactly
-//! what the sharded runtime's routing delivers: per-flow rail affinity
-//! with no cross-shard contention.
+//! what shard routing delivers: per-flow rail affinity with no
+//! cross-shard contention. The curve measures rails more than splits:
+//! one unsplit engine over the same rails scales as well (DESIGN.md
+//! §14).
 //!
 //! Results land in `BENCH_shards.json` (override with `--json PATH`);
 //! `cargo run -p xtask -- bench-diff` gates the scaling ratios against

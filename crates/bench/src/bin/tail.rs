@@ -38,7 +38,7 @@ use nmad_net::{Driver, FaultPlan};
 use nmad_sim::{host, nic, run_until, shared_world, NodeId, SharedWorld, SimConfig, SimTime};
 use std::ops::ControlFlow;
 
-/// Rails per node; each is owned by one progression shard.
+/// Rails per node; each is owned by one split engine.
 const SHARDS: usize = 4;
 
 /// Strategies swept, baseline first.

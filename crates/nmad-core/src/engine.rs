@@ -63,7 +63,8 @@ impl EngineCosts {
     }
 }
 
-/// How a sharded runtime assigns a flow to a progression shard.
+/// How split engines ([`NmadEngine::split_for_shards`]) assign a flow
+/// to a shard.
 ///
 /// Routing hashes the **unordered node pair** of a flow plus its tag,
 /// never one endpoint alone: the two peers of a link then agree on the
@@ -99,8 +100,8 @@ impl ShardPolicy {
     }
 }
 
-/// A shard engine's identity within a sharded runtime: which shard it
-/// is, how many exist, and the routing policy every participant uses.
+/// A split engine's identity: which shard it is, how many exist, and
+/// the routing policy every participant uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ShardRoute {
     /// This engine's shard index.
@@ -120,33 +121,18 @@ impl ShardRoute {
 
 /// Configuration of the threaded progression runtime
 /// ([`ThreadedEngine::launch`](crate::threaded::ThreadedEngine::launch)).
-/// The application thread drives an engine inline by calling
-/// [`NmadEngine::progress`] itself and needs no configuration.
+/// It carries no option: the runtime always runs one progression
+/// thread over every rail of its engine. The type stays so that
+/// `ThreadedEngine::launch(engine, EngineConfig::threaded())` keeps
+/// compiling. The application thread drives an engine inline by
+/// calling [`NmadEngine::progress`] itself and needs no configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Progression shards. `1` is the single-engine monolith; `n > 1`
-    /// splits the engine into `n` shards, each with its own submission
-    /// ring, window slice and rail subset. Clamped to the rail count at
-    /// launch.
-    pub shards: usize,
-}
+pub struct EngineConfig;
 
 impl EngineConfig {
     /// One progression thread owning the whole engine.
     pub fn threaded() -> Self {
-        EngineConfig { shards: 1 }
-    }
-
-    /// `shards` progression shards.
-    ///
-    /// Every peer this node talks to must run the same shard count:
-    /// routing is static, so a frame lands on the shard with the rail's
-    /// index and must carry only flows that shard owns. A frame that
-    /// breaks this fails with [`NetError::Protocol`](nmad_net::NetError)
-    /// instead of being delivered to the wrong shard.
-    pub fn sharded(shards: usize) -> Self {
-        assert!(shards > 0, "a sharded runtime needs at least one shard");
-        EngineConfig { shards }
+        EngineConfig
     }
 }
 
@@ -229,7 +215,7 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Adds `other`'s counters into `self` — aggregation across the
-    /// shard engines of a sharded runtime.
+    /// engines [`NmadEngine::split_for_shards`] returns.
     pub fn absorb(&mut self, other: &EngineStats) {
         self.frames_sent += other.frames_sent;
         self.frames_received += other.frames_received;
@@ -349,8 +335,9 @@ pub struct NmadEngine {
     stats: EngineStats,
     metrics: EngineMetrics,
     pool: FramePool,
-    /// Shard identity when this engine is one shard of a sharded
-    /// runtime; `None` for a monolithic engine.
+    /// Shard identity when this engine is one of the parts
+    /// [`split_for_shards`](Self::split_for_shards) returned; `None`
+    /// for a monolithic engine.
     route: Option<ShardRoute>,
     /// Unexpected-queue depth at which the engine signals receive-side
     /// backpressure to its drivers ([`Driver::set_rx_backpressure`]).
@@ -420,9 +407,7 @@ impl NmadEngine {
         self.node
     }
 
-    /// Number of rails (drivers) this engine owns. A sharded launch
-    /// clamps its shard count here: a shard without a rail could make
-    /// no progress.
+    /// Number of rails (drivers) this engine owns.
     pub fn rail_count(&self) -> usize {
         self.nics.len()
     }
@@ -476,9 +461,10 @@ impl NmadEngine {
         }
     }
 
-    /// Segments currently accumulated in the optimization window.
+    /// Segments currently accumulated in the optimization window,
+    /// common and rail-dedicated lists alike.
     pub fn window_depth(&self) -> usize {
-        self.window.depth_for(0)
+        self.window.len()
     }
 
     /// Snapshot of the engine's internal state for debugging and
@@ -487,10 +473,7 @@ impl NmadEngine {
         EngineDiagnostics {
             node: self.node,
             strategy: self.strategy.name(),
-            window_segments: (0..self.nics.len())
-                .map(|i| self.window.depth_for(i))
-                .max()
-                .unwrap_or(0),
+            window_segments: self.window.len(),
             window_has_rdv: self.window.has_rdv(),
             rts_awaiting_cts: self.rdv_wait_cts.len(),
             rdv_transfers_in_progress: self.rdv_tx.len(),
@@ -597,11 +580,7 @@ impl NmadEngine {
                 rail_hint,
             );
         }
-        let depth = (0..self.nics.len())
-            .map(|i| self.window.depth_for(i))
-            .max()
-            .unwrap_or(0);
-        self.metrics.observe_window_depth(depth);
+        self.metrics.observe_window_depth(self.window.len());
     }
 
     /// Posts a receive of up to `max` bytes for the next segment of
@@ -685,7 +664,7 @@ impl NmadEngine {
         let entries = parse_frame(frame).map_err(|e| {
             nmad_net::NetError::Protocol(format!("malformed frame from {src}: {e}"))
         })?;
-        // Sharded runtime: both ends of a link run the same shard count,
+        // Split engines: both ends of a link run the same shard count,
         // so every flow a frame carries belongs to the shard whose rail
         // received it. Check every entry before applying any: a peer
         // with another count can aggregate flows of several shards into
@@ -1278,105 +1257,6 @@ impl NmadEngine {
         }
         parts
     }
-
-    /// Reunites shard engines produced by
-    /// [`split_for_shards`](Self::split_for_shards) into one monolith:
-    /// rails re-interleave to their original indices, windows and
-    /// matching states merge, counters aggregate (sums; the window
-    /// high-water mark takes the deepest shard). Every shard must be
-    /// transmit-quiescent.
-    pub fn merge_shards(parts: Vec<NmadEngine>) -> NmadEngine {
-        assert!(!parts.is_empty(), "cannot merge zero shard engines");
-        let shards = parts.len();
-        let node = parts[0].node;
-        let rx_saturation_cap = parts[0].rx_saturation_cap;
-        // A shard that raised backpressure hands the raised state to
-        // the monolith; the next pump re-evaluates and releases it.
-        let rx_backpressured = parts.iter().any(|p| p.rx_backpressured);
-        for part in &parts {
-            assert_eq!(part.node, node, "shards of different nodes");
-            assert!(
-                part.tx_quiescent(),
-                "merge_shards requires quiescent shards"
-            );
-        }
-
-        let total_nics: usize = parts.iter().map(|p| p.nics.len()).sum();
-        let mut nic_slots: Vec<Option<NicState>> = (0..total_nics).map(|_| None).collect();
-        let mut windows = Vec::with_capacity(shards);
-        let mut matchings = Vec::with_capacity(shards);
-        let mut meter = None;
-        let mut strategy = None;
-        let mut pool = None;
-        let mut costs = None;
-        let mut stats = EngineStats::default();
-        let mut metrics = EngineMetrics::default();
-        let mut next_seq: FxHashMap<(NodeId, Tag), SeqNo> = FxHashMap::default();
-        let mut rdv_done: FxHashSet<RdvKey> = FxHashSet::default();
-        let mut done_sends: FxHashSet<SendReqId> = FxHashSet::default();
-        let mut next_req = 0u64;
-        let mut order = 0u64;
-
-        for (s, part) in parts.into_iter().enumerate() {
-            for (j, nic) in part.nics.into_iter().enumerate() {
-                let slot = j * shards + s;
-                assert!(nic_slots[slot].is_none(), "rail slot collision");
-                nic_slots[slot] = Some(nic);
-            }
-            windows.push(part.window);
-            matchings.push(part.matching);
-            if s == 0 {
-                meter = Some(part.meter);
-                strategy = Some(part.strategy);
-                pool = Some(part.pool);
-                costs = Some(part.costs);
-            }
-            stats.absorb(&part.stats);
-            metrics.absorb(&part.metrics);
-            for (k, v) in part.next_seq {
-                let slot = next_seq.entry(k).or_insert(v);
-                if v.0 > slot.0 {
-                    *slot = v;
-                }
-            }
-            rdv_done.extend(part.rdv_done);
-            done_sends.extend(part.done_sends);
-            next_req = next_req.max(part.next_req);
-            order = order.max(part.order);
-        }
-
-        let nics: Vec<NicState> = nic_slots
-            .into_iter()
-            .map(|slot| slot.expect("every rail slot filled"))
-            .collect();
-        let caps: Vec<_> = nics.iter().map(|n| n.driver.caps().clone()).collect();
-        let mut strategy = strategy.expect("shard 0 present");
-        strategy.init(&caps);
-
-        NmadEngine {
-            node,
-            nics,
-            meter: meter.expect("shard 0 present"),
-            strategy,
-            window: Window::merge(windows),
-            matching: Matching::merge(matchings),
-            rdv_wait_cts: FxHashMap::default(),
-            rdv_tx: FxHashMap::default(),
-            rdv_done,
-            sends: FxHashMap::default(),
-            done_sends,
-            next_req,
-            next_seq,
-            order,
-            costs: costs.expect("shard 0 present"),
-            stats,
-            metrics,
-            pool: pool.expect("shard 0 present"),
-            route: None,
-            rx_saturation_cap,
-            rx_backpressured,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1647,6 +1527,31 @@ mod tests {
             assert!(!b.progress(), "nothing left to move");
         }
         assert_eq!(*calls.lock(), 0);
+    }
+
+    /// Every depth reading counts segments on every rail's dedicated
+    /// list, not just rail 0's or the deepest single rail's.
+    #[test]
+    fn window_depth_counts_segments_on_every_rail() {
+        let mut rails: Vec<Box<dyn Driver>> = Vec::new();
+        for _ in 0..2 {
+            let mut fabric = nmad_net::mem::mem_fabric(2);
+            fabric.pop();
+            rails.push(Box::new(fabric.pop().unwrap()));
+        }
+        let mut a = NmadEngine::new(
+            rails,
+            Box::new(nmad_net::NullMeter),
+            Box::new(StratAggreg),
+            EngineCosts::zero(),
+        );
+        for rail in 0..2 {
+            let part = (Bytes::from_static(b"hinted"), Priority::Normal);
+            a.submit_send_parts(NodeId(1), Tag(0), vec![part], Some(rail));
+        }
+        assert_eq!(a.window_depth(), 2);
+        assert_eq!(a.diagnostics().window_segments, 2);
+        assert_eq!(a.metrics().engine.window_depth_hwm, 2);
     }
 
     #[test]

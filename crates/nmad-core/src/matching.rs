@@ -402,9 +402,8 @@ impl Matching {
     /// Partitions this matching state into `shards` independent states
     /// by flow ownership: every map entry keyed by a `(src, tag)` flow
     /// moves to the part `owner(src, tag) % shards` selects. Because
-    /// every structure here is keyed by flow, the partition is exact —
-    /// no state is shared between parts and [`Matching::merge`]
-    /// restores the original.
+    /// every structure here is keyed by flow, the partition is exact:
+    /// no state is shared between parts.
     pub fn split_by(
         self,
         shards: usize,
@@ -431,44 +430,6 @@ impl Matching {
             parts[owner(k.0, k.1) % shards].delivered.insert(k, v);
         }
         parts
-    }
-
-    /// Reunites states produced by [`Matching::split_by`]. Keys are
-    /// disjoint when the parts came from one split; overlapping flow
-    /// records (possible when merging independently-grown states) are
-    /// reconciled conservatively: sequence allocators take the maximum,
-    /// delivery watermarks union.
-    pub fn merge(parts: Vec<Matching>) -> Matching {
-        let mut merged = Matching::new();
-        for part in parts {
-            merged.posted.extend(part.posted);
-            for (k, v) in part.next_seq {
-                let slot = merged.next_seq.entry(k).or_insert(v);
-                if v.0 > slot.0 {
-                    *slot = v;
-                }
-            }
-            merged.unexpected.extend(part.unexpected);
-            merged.pending_rts.extend(part.pending_rts);
-            merged.done.extend(part.done);
-            for (k, v) in part.delivered {
-                match merged.delivered.entry(k) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(v);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let cur = e.get_mut();
-                        cur.next = cur.next.max(v.next);
-                        cur.ahead.extend(v.ahead);
-                        cur.ahead.retain(|&s| s >= cur.next);
-                        while cur.ahead.remove(&cur.next) {
-                            cur.next += 1;
-                        }
-                    }
-                }
-            }
-        }
-        merged
     }
 }
 

@@ -92,38 +92,6 @@ impl EngineMetrics {
         self.window_depth_hwm = self.window_depth_hwm.max(depth as u64);
     }
 
-    /// Adds `other`'s counters into `self` — aggregation across the
-    /// shard engines of a sharded runtime. Every counter sums except
-    /// the window high-water mark, which takes the deepest shard (the
-    /// shards' windows are disjoint slices, so neither a sum nor a max
-    /// reproduces the monolith exactly; the max is the honest bound).
-    pub fn absorb(&mut self, other: &EngineMetrics) {
-        self.requests_submitted += other.requests_submitted;
-        self.recvs_posted += other.recvs_posted;
-        self.bytes_enqueued += other.bytes_enqueued;
-        self.window_depth_hwm = self.window_depth_hwm.max(other.window_depth_hwm);
-        self.frames_synthesized += other.frames_synthesized;
-        self.entries_aggregated += other.entries_aggregated;
-        self.eager_entries += other.eager_entries;
-        self.rendezvous_entries += other.rendezvous_entries;
-        self.reorder_decisions += other.reorder_decisions;
-        self.rail_faults += other.rail_faults;
-        self.requeued_entries += other.requeued_entries;
-        self.duplicates_dropped += other.duplicates_dropped;
-        self.stale_cts_ignored += other.stale_cts_ignored;
-        self.gather_sends += other.gather_sends;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.bytes_copied_rx += other.bytes_copied_rx;
-        self.ep_accepts += other.ep_accepts;
-        self.ep_handshake_failures += other.ep_handshake_failures;
-        self.ep_teardowns += other.ep_teardowns;
-        self.ep_readiness_wakeups += other.ep_readiness_wakeups;
-        self.ep_sockets_polled += other.ep_sockets_polled;
-        self.ep_spurious_wakeups += other.ep_spurious_wakeups;
-        self.ep_backpressure_stalls += other.ep_backpressure_stalls;
-    }
-
     /// Overwrites the endpoint-layer counters from the drivers'
     /// cumulative [`EndpointStats`] (summed across rails by the caller
     /// at snapshot time — the drivers own these counters, the engine
@@ -626,11 +594,6 @@ mod tests {
             ),
             (1, 2, 3, 4, 5, 6, 7)
         );
-        // absorb() sums endpoint counters across shard engines.
-        let mut sum = m;
-        sum.absorb(&m);
-        assert_eq!(sum.ep_accepts, 2);
-        assert_eq!(sum.ep_backpressure_stalls, 14);
     }
 
     #[test]

@@ -116,8 +116,8 @@ pub trait Strategy: Send {
     /// re-plan over the survivors; the default is a no-op.
     fn on_rail_fault(&mut self, _rail: usize) {}
 
-    /// Builds the instance a progression shard will own when the
-    /// engine splits into `shards` independent shards (this one being
+    /// Builds the instance a split engine will own when the engine
+    /// splits into `shards` independent shards (this one being
     /// shard `shard`). The shard engine calls [`Strategy::init`] on
     /// the returned instance with its own rail subset, so
     /// implementations only carry over *configuration* (forced

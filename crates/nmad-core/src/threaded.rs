@@ -7,7 +7,9 @@
 //! * the **progression thread** exclusively owns the [`NmadEngine`] —
 //!   drivers, optimization window, strategy, matching state. No lock
 //!   guards any of it: the engine's single-threaded state machine runs
-//!   unmodified, just on another thread.
+//!   unmodified, just on another thread. One thread pumps every rail:
+//!   the scheduler is asked for a frame whenever any NIC goes idle, so
+//!   one engine already keeps all of its rails busy.
 //! * **application threads** hold a cloneable [`ThreadedHandle`].
 //!   Submissions cross over through a bounded lock-free
 //!   [`SubmitRing`]; request ids are allocated application-side from
@@ -18,29 +20,13 @@
 //!   stages a run of operations with **one doorbell per flush**
 //!   (io_uring-style), so a burst pays one CAS per `SLOT_OPS` ops and
 //!   one wakeup total instead of one of each per op.
-//! * **completions** come back through a sharded [`CompletionBoard`]
+//! * **completions** come back through a bucketed [`CompletionBoard`]
 //!   that `test`/`wait` poll without touching the engine, and counters
 //!   through [`ThreadedHandle::metrics`], a snapshot the progression
-//!   threads take between pumps.
+//!   thread takes between pumps.
 //!
-//! ## Sharding
-//!
-//! With [`EngineConfig::shards`] > 1 the runtime splits the engine
-//! into **N progression shards** (see
-//! [`NmadEngine::split_for_shards`]): each shard owns its own
-//! submission ring, optimization-window slice, rail subset (rail `r`
-//! belongs to shard `r % N`) and progression thread. Flows map to
-//! shards by [`ShardPolicy`] — a symmetric hash over the node pair
-//! and the tag, identical on both endpoints, so a frame sent on shard
-//! `s`'s rails always lands on the receiving node's shard `s`.
-//! [`ThreadedHandle`] routes every submission to its owner shard's
-//! ring; the [`CompletionBoard`] keeps one global id-keyed bucket
-//! space, so waiting works unchanged.
-//!
-//! Shards share nothing else: no work moves between them. Both ends of
-//! a link must run the same shard count; a shard that receives a frame
-//! carrying a flow it does not own fails with a protocol error (see
-//! `DESIGN.md` §14).
+//! Engines split with [`NmadEngine::split_for_shards`] are not run
+//! here: their caller pumps them inline (see `DESIGN.md` §14).
 //!
 //! The simulated transports stay on the inline path (the application
 //! thread calls [`NmadEngine::progress`]): virtual time only advances
@@ -58,12 +44,11 @@ use nmad_sim::{FxHashMap, FxHashSet, NodeId};
 
 use crate::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
 
-use crate::engine::{EngineConfig, NmadEngine, ShardPolicy};
+use crate::engine::{EngineConfig, NmadEngine};
 use crate::matching::RecvDone;
-use crate::metrics::{EngineMetrics, MetricsSnapshot, NicMetrics};
+use crate::metrics::MetricsSnapshot;
 use crate::ring::{Batch, SubmitRing};
 use crate::segment::{Priority, RecvReqId, SendReqId, Tag};
-use crate::EngineStats;
 
 // The whole design rests on the engine being movable to the
 // progression thread; breaking any layer's Send bound must fail here,
@@ -102,9 +87,8 @@ pub const SLOT_OPS: usize = 8;
 /// The ring slot format: an inline batch of up to [`SLOT_OPS`] ops.
 type OpBatch = Batch<EngineOp, SLOT_OPS>;
 
-/// Board buckets per engine shard: the total bucket count is
-/// `BOARD_SHARDS × engine shards`, so poll-path lock contention stays
-/// constant per shard as the runtime scales out.
+/// Completion-board buckets: waiters on unrelated request ids contend
+/// on different locks.
 const BOARD_SHARDS: usize = 16;
 
 #[derive(Default)]
@@ -113,12 +97,12 @@ struct BoardShard {
     recvs: FxHashMap<u64, RecvDone>,
 }
 
-/// Sharded completion queue the progression threads fill and
+/// Sharded completion queue the progression thread fills and
 /// application threads poll. Sharding by request id keeps unrelated
 /// waiters off each other's cache lines and locks; the engine itself
 /// is never touched on the poll path. The bucket index is a pure
-/// function of the request id, so completions posted by *any*
-/// progression shard land where the waiter looks.
+/// function of the request id, so a waiter always looks where the
+/// completion was posted.
 pub struct CompletionBoard {
     shards: Vec<CachePadded<Mutex<BoardShard>>>,
     /// Completions posted for an id already on the board — always a
@@ -128,16 +112,14 @@ pub struct CompletionBoard {
 }
 
 impl CompletionBoard {
-    fn new(engine_shards: usize) -> Self {
-        let buckets = BOARD_SHARDS * engine_shards.max(1);
+    fn new() -> Self {
         CompletionBoard {
-            shards: (0..buckets)
+            shards: (0..BOARD_SHARDS)
                 .map(|_| CachePadded::new(Mutex::new(BoardShard::default())))
                 .collect(),
             duplicates: AtomicU64::new(0),
         }
     }
-
     #[inline]
     fn bucket_of(&self, id: u64) -> usize {
         (id as usize) % self.shards.len()
@@ -235,50 +217,37 @@ impl CompletionBoard {
     }
 }
 
-/// Capacity of each shard's submission ring. A full ring pushes back
-/// on submitters instead of growing.
+/// Capacity of the submission ring. A full ring pushes back on
+/// submitters instead of growing.
 const SUBMIT_RING_CAPACITY: usize = 1024;
 
 /// State shared between application threads and the progression
-/// shards.
+/// thread.
 struct Shared {
-    /// One submission ring per progression shard, so shards never
-    /// contend on the submit path.
-    rings: Vec<SubmitRing<OpBatch>>,
-    node: NodeId,
-    /// One global id-keyed board: waiters don't care which shard
-    /// completed their request.
+    ring: SubmitRing<OpBatch>,
     board: CompletionBoard,
     /// Application-side request id allocator, seeded from the engine's
-    /// watermark at launch. Global across shards so ids stay unique.
+    /// watermark at launch.
     next_req: AtomicU64,
     /// Serialises snapshot requesters (one RPC slot).
     snap_serial: Mutex<()>,
-    /// One snapshot cell per shard; a requester broadcasts a
-    /// [`EngineOp::Snapshot`] and waits until every cell fills.
-    snap_slot: Mutex<Vec<Option<MetricsSnapshot>>>,
+    /// The snapshot cell: a requester pushes an [`EngineOp::Snapshot`]
+    /// and waits until the progression thread fills it.
+    snap_slot: Mutex<Option<MetricsSnapshot>>,
     snap_cv: Condvar,
-    /// Some progression shard died on a transport error.
+    /// The progression thread died on a transport error.
     dead: AtomicBool,
     fail: Mutex<Option<String>>,
 }
 
-impl Shared {
-    fn route(&self, peer: NodeId, tag: Tag) -> usize {
-        // Identical to the split the engine did at launch.
-        ShardPolicy::HashByDest.route(self.rings.len(), self.node, peer, tag)
-    }
-}
-
-/// A running progression runtime — one thread per shard — plus the
-/// engine shards those threads own. Created with
-/// [`ThreadedEngine::launch`]; hand out [`ThreadedHandle`]s with
-/// [`handle`](Self::handle); get the (re-merged) engine back with
-/// [`shutdown`](Self::shutdown).
+/// A running progression runtime — one thread — plus the engine that
+/// thread owns. Created with [`ThreadedEngine::launch`]; hand out
+/// [`ThreadedHandle`]s with [`handle`](Self::handle); get the engine
+/// back with [`shutdown`](Self::shutdown).
 pub struct ThreadedEngine {
     shared: Arc<Shared>,
     node: NodeId,
-    threads: Vec<std::thread::JoinHandle<NmadEngine>>,
+    thread: Option<std::thread::JoinHandle<NmadEngine>>,
 }
 
 /// Cloneable application-side handle to a [`ThreadedEngine`]: submit
@@ -290,22 +259,14 @@ pub struct ThreadedHandle {
 }
 
 impl ThreadedEngine {
-    /// Moves `engine` onto freshly spawned progression threads — one
-    /// per shard. `config.shards` is clamped to the engine's rail
-    /// count (a shard without a rail could make no progress); with one
-    /// shard the runtime degenerates to the original single-thread
-    /// layout, byte for byte.
-    ///
-    /// Both ends of every link must end up with the same shard count,
-    /// after this clamp: two nodes asking for the same count but owning
-    /// different rail counts can still differ. A shard that receives a
-    /// frame carrying a flow it does not own stops the runtime with a
-    /// protocol error, which every waiter then reports.
+    /// Moves `engine` onto a freshly spawned progression thread, which
+    /// pumps every one of its rails. [`EngineConfig::threaded`] is the
+    /// only configuration.
     ///
     /// Panics if any of the engine's drivers vetoes background
     /// progression (the simulated transport does — see the module
     /// documentation).
-    pub fn launch(engine: NmadEngine, config: EngineConfig) -> Self {
+    pub fn launch(engine: NmadEngine, _config: EngineConfig) -> Self {
         assert!(
             engine.threaded_progress_safe(),
             "a driver on node {} refuses background progression \
@@ -313,41 +274,27 @@ impl ThreadedEngine {
             engine.node()
         );
         let node = engine.node();
-        let shards = config.shards.max(1).min(engine.rail_count().max(1));
-        let watermark = engine.req_watermark();
-        let engines = if shards > 1 {
-            engine.split_for_shards(shards, ShardPolicy::HashByDest)
-        } else {
-            vec![engine]
-        };
         let shared = Arc::new(Shared {
-            rings: (0..shards)
-                .map(|_| SubmitRing::new(SUBMIT_RING_CAPACITY))
-                .collect(),
-            node,
-            board: CompletionBoard::new(shards),
-            next_req: AtomicU64::new(watermark),
+            ring: SubmitRing::new(SUBMIT_RING_CAPACITY),
+            board: CompletionBoard::new(),
+            next_req: AtomicU64::new(engine.req_watermark()),
             snap_serial: Mutex::new(()),
-            snap_slot: Mutex::new(Vec::new()),
+            snap_slot: Mutex::new(None),
             snap_cv: Condvar::new(),
             dead: AtomicBool::new(false),
             fail: Mutex::new(None),
         });
-        let threads = engines
-            .into_iter()
-            .enumerate()
-            .map(|(shard, eng)| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("nmad-progress-{}-s{shard}", node.0))
-                    .spawn(move || run(eng, &shared, shard))
-                    .expect("spawn progression thread")
-            })
-            .collect();
+        let thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(format!("nmad-progress-{}", node.0))
+                .spawn(move || run(engine, &shared))
+                .expect("spawn progression thread")
+        };
         ThreadedEngine {
             shared,
             node,
-            threads,
+            thread: Some(thread),
         }
     }
 
@@ -364,30 +311,13 @@ impl ThreadedEngine {
         self.node
     }
 
-    /// Progression shards this runtime is running (after the launch
-    /// clamp to the rail count).
-    pub fn shards(&self) -> usize {
-        self.shared.rings.len()
-    }
-
-    /// Stops every progression shard — after draining its ring and
-    /// quiescing its transmit side — and returns the re-merged engine
-    /// for inline use. Completions still parked on the board are
-    /// dropped with it.
+    /// Stops the progression thread — after it drains the ring and
+    /// quiesces its transmit side — and returns the engine for inline
+    /// use. Completions still parked on the board are dropped with it.
     pub fn shutdown(mut self) -> NmadEngine {
-        for ring in &self.shared.rings {
-            ring.push(Batch::of_one(EngineOp::Shutdown));
-        }
-        let parts: Vec<NmadEngine> = self
-            .threads
-            .drain(..)
-            .map(|t| t.join().expect("progression thread panicked"))
-            .collect();
-        let mut engine = if parts.len() == 1 {
-            parts.into_iter().next().expect("one shard")
-        } else {
-            NmadEngine::merge_shards(parts)
-        };
+        self.shared.ring.push(Batch::of_one(EngineOp::Shutdown));
+        let thread = self.thread.take().expect("joined only here or in Drop");
+        let mut engine = thread.join().expect("progression thread panicked");
         // Ids handed out by handles but never submitted must still
         // never be reallocated inline.
         engine.set_req_watermark(self.shared.next_req.load(Ordering::Relaxed)); // ORDERING: read after the submit ring quiesced; the drain orders it
@@ -397,20 +327,16 @@ impl ThreadedEngine {
 
 impl Drop for ThreadedEngine {
     fn drop(&mut self) {
-        if self.threads.is_empty() {
+        let Some(thread) = self.thread.take() else {
             return;
-        }
-        for ring in &self.shared.rings {
-            ring.push(Batch::of_one(EngineOp::Shutdown));
-        }
-        // The engines are discarded; a panic on a progression thread
+        };
+        self.shared.ring.push(Batch::of_one(EngineOp::Shutdown));
+        // The engine is discarded; a panic on the progression thread
         // surfaces at the join unless we are already unwinding.
-        for thread in self.threads.drain(..) {
-            if std::thread::panicking() {
-                let _ = thread.join();
-            } else {
-                let _engine = thread.join().expect("progression thread panicked");
-            }
+        if std::thread::panicking() {
+            let _ = thread.join();
+        } else {
+            let _engine = thread.join().expect("progression thread panicked");
         }
     }
 }
@@ -440,22 +366,9 @@ impl ThreadedHandle {
         }
     }
 
-    /// Progression shards behind this handle.
-    pub fn shards(&self) -> usize {
-        self.shared.rings.len()
-    }
-
-    /// The shard owning flow (peer, tag) — where a submission for that
-    /// flow is routed. Exposed so tests and benches can pin flows to
-    /// shards deliberately.
-    pub fn shard_of(&self, peer: NodeId, tag: Tag) -> usize {
-        self.shared.route(peer, tag)
-    }
-
     /// Submits one application send made of `parts` segments (see
-    /// [`NmadEngine::submit_send_parts`]). Routed to the ring of the
-    /// shard owning flow (dst, tag). Blocks only for ring backpressure
-    /// (a full submission ring).
+    /// [`NmadEngine::submit_send_parts`]). Blocks only for ring
+    /// backpressure (a full submission ring).
     pub fn submit_send_parts(
         &self,
         dst: NodeId,
@@ -464,8 +377,7 @@ impl ThreadedHandle {
         rail_hint: Option<usize>,
     ) -> SendReqId {
         let req = SendReqId(self.alloc());
-        let shard = self.shared.route(dst, tag);
-        self.shared.rings[shard].push(Batch::of_one(EngineOp::Send {
+        self.shared.ring.push(Batch::of_one(EngineOp::Send {
             req,
             dst,
             tag,
@@ -481,13 +393,12 @@ impl ThreadedHandle {
     }
 
     /// Posts a receive of up to `max` bytes for the next segment of
-    /// flow (src, tag), routed to the shard owning that flow (the hash
-    /// is symmetric, so it is the shard whose rails the frame arrives
-    /// on).
+    /// flow (src, tag).
     pub fn post_recv(&self, src: NodeId, tag: Tag, max: usize) -> RecvReqId {
         let req = RecvReqId(self.alloc());
-        let shard = self.shared.route(src, tag);
-        self.shared.rings[shard].push(Batch::of_one(EngineOp::Recv { req, src, tag, max }));
+        self.shared
+            .ring
+            .push(Batch::of_one(EngineOp::Recv { req, src, tag, max }));
         req
     }
 
@@ -498,13 +409,9 @@ impl ThreadedHandle {
     /// can be waited on — after the flush — exactly like single
     /// submissions.
     pub fn submit_batch(&self) -> SubmitBatch<'_> {
-        let shards = self.shared.rings.len();
         SubmitBatch {
             handle: self,
-            shards,
-            primary: Batch::new(),
-            primary_staged: 0,
-            rest: (1..shards).map(|_| (Batch::new(), 0)).collect(),
+            slot: Batch::new(),
             pending: 0,
             next_id: 0,
             id_limit: 0,
@@ -580,28 +487,17 @@ impl ThreadedHandle {
     }
 
     /// A full [`MetricsSnapshot`] including per-NIC link counters,
-    /// taken *on the progression threads* between pumps — each shard's
-    /// totals are exact at the moment its snapshot is taken, like the
-    /// inline [`NmadEngine::metrics`]. With several shards the
-    /// per-shard snapshots are aggregated: counters sum, NIC rows come
-    /// back in global rail order.
+    /// taken *on the progression thread* between pumps — its totals are
+    /// exact at the moment it is taken, like the inline
+    /// [`NmadEngine::metrics`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        let n = self.shared.rings.len();
-        // One requester at a time owns the RPC slots.
+        // One requester at a time owns the RPC slot.
         let _serial = self.shared.snap_serial.lock();
-        {
-            let mut slot = self.shared.snap_slot.lock();
-            *slot = (0..n).map(|_| None).collect();
-        }
-        for ring in &self.shared.rings {
-            ring.push(Batch::of_one(EngineOp::Snapshot));
-        }
+        self.shared.ring.push(Batch::of_one(EngineOp::Snapshot));
         let mut slot = self.shared.snap_slot.lock();
         loop {
-            if slot.iter().all(Option::is_some) {
-                // The all-Some check above makes `flatten` lossless.
-                let parts: Vec<MetricsSnapshot> = slot.drain(..).flatten().collect();
-                return aggregate_snapshots(parts);
+            if let Some(snap) = slot.take() {
+                return snap;
             }
             self.check_alive("metrics snapshot");
             let (g, _) = self
@@ -619,72 +515,21 @@ impl ThreadedHandle {
     }
 }
 
-/// Sums per-shard snapshots into the view a single engine would have
-/// produced: counters sum ([`EngineMetrics::absorb`] /
-/// [`EngineStats::absorb`]), NIC rows interleave back into global rail
-/// order (shard `s` owns rails `s`, `s + N`, `s + 2N`, …).
-fn aggregate_snapshots(parts: Vec<MetricsSnapshot>) -> MetricsSnapshot {
-    let shards = parts.len();
-    let mut engine = EngineMetrics::default();
-    let mut wire = EngineStats::default();
-    let mut per_shard_nics: Vec<std::collections::VecDeque<NicMetrics>> = Vec::new();
-    let mut strategy = "";
-    for part in parts {
-        strategy = part.strategy;
-        engine.absorb(&part.engine);
-        wire.absorb(&part.wire);
-        per_shard_nics.push(part.nics.into());
-    }
-    let mut nics = Vec::new();
-    loop {
-        let mut any = false;
-        for shard_nics in per_shard_nics.iter_mut().take(shards) {
-            if let Some(nic) = shard_nics.pop_front() {
-                nics.push(nic);
-                any = true;
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    MetricsSnapshot {
-        strategy,
-        engine,
-        wire,
-        nics,
-    }
-}
-
 /// A staged run of submissions sharing ring slots and one doorbell.
 ///
 /// Obtained from [`ThreadedHandle::submit_batch`]. Operations staged
-/// here are pushed quietly — full slots go into the owner shard's ring
-/// without waking the consumer — and each shard's doorbell rings at
-/// most once, at [`flush`](Self::flush). Until the flush, a parked
-/// progression thread stays parked, so **never wait on a staged
-/// request before flushing**. Dropping the builder flushes.
+/// here are pushed quietly — full slots go into the ring without
+/// waking the consumer — and the doorbell rings at most once, at
+/// [`flush`](Self::flush). Until the flush, a parked progression thread
+/// stays parked, so **never wait on a staged request before flushing**.
+/// Dropping the builder flushes.
 pub struct SubmitBatch<'a> {
     handle: &'a ThreadedHandle,
-    /// Cached shard count: lets the per-op path skip the routing hash
-    /// (and the `Arc` dereference it needs) entirely when the runtime
-    /// is single-sharded — the overwhelmingly common layout. The
-    /// `batch` bench's submit rows measure it, as context only.
-    shards: usize,
-    /// Shard 0's open slot, inline: in single-shard mode every staged
-    /// op lands here with no per-op indexing or indirection.
-    primary: OpBatch,
-    /// Operations staged to shard 0 (pushed quietly or buffered) since
-    /// the last flush; a nonzero count earns shard 0 exactly one
-    /// doorbell at flush.
-    primary_staged: usize,
-    /// Open slot and staged count for shards `1..` — empty in
-    /// single-shard mode. Operations for different shards ride
-    /// different rings, so they cannot share a slot.
-    rest: Vec<(OpBatch, usize)>,
-    /// Total staged since the last flush, kept as a scalar because
-    /// [`pending`](Self::pending) sits on the application's per-op
-    /// flush-decision path.
+    /// The open slot, filled in place until it holds [`SLOT_OPS`]
+    /// operations.
+    slot: OpBatch,
+    /// Operations staged (pushed quietly or buffered) since the last
+    /// flush; a nonzero count earns exactly one doorbell at flush.
     pending: usize,
     /// Block-reserved request ids: `next_id..id_limit` belong to this
     /// builder. Reserving [`SLOT_OPS`] ids per `fetch_add` amortizes
@@ -712,43 +557,21 @@ impl SubmitBatch<'_> {
         id
     }
 
-    /// The shard owning flow (peer, tag) — constant 0 when the runtime
-    /// is single-sharded, so the batched path pays no hash per op.
     #[inline]
-    fn shard_of(&self, peer: NodeId, tag: Tag) -> usize {
-        if self.shards == 1 {
-            0
-        } else {
-            self.handle.shared.route(peer, tag)
-        }
-    }
-
-    #[inline]
-    fn stage(&mut self, shard: usize, op: EngineOp) {
+    fn stage(&mut self, op: EngineOp) {
         self.pending += 1;
-        if shard == 0 {
-            self.primary_staged += 1;
-            if let Err(op) = self.primary.push(op) {
-                let full = std::mem::take(&mut self.primary);
-                let _ = self.primary.push(op);
-                self.push_slot(0, full);
-            }
-        } else {
-            let r = &mut self.rest[shard - 1];
-            r.1 += 1;
-            if let Err(op) = r.0.push(op) {
-                let full = std::mem::take(&mut r.0);
-                let _ = r.0.push(op);
-                self.push_slot(shard, full);
-            }
+        if let Err(op) = self.slot.push(op) {
+            let full = std::mem::take(&mut self.slot);
+            let _ = self.slot.push(op);
+            self.push_slot(full);
         }
     }
 
     /// Quiet slot push with backpressure: a full ring gets the doorbell
     /// (the consumer may be parked behind our own unflushed work) and a
     /// yield, never a drop.
-    fn push_slot(&self, shard: usize, mut slot: OpBatch) {
-        let ring = &self.handle.shared.rings[shard];
+    fn push_slot(&self, mut slot: OpBatch) {
+        let ring = &self.handle.shared.ring;
         loop {
             match ring.try_push_quiet(slot) {
                 Ok(()) => return,
@@ -771,17 +594,13 @@ impl SubmitBatch<'_> {
         rail_hint: Option<usize>,
     ) -> SendReqId {
         let req = SendReqId(self.alloc_id());
-        let shard = self.shard_of(dst, tag);
-        self.stage(
-            shard,
-            EngineOp::Send {
-                req,
-                dst,
-                tag,
-                parts,
-                rail_hint,
-            },
-        );
+        self.stage(EngineOp::Send {
+            req,
+            dst,
+            tag,
+            parts,
+            rail_hint,
+        });
         req
     }
 
@@ -794,39 +613,27 @@ impl SubmitBatch<'_> {
     #[inline]
     pub fn post_recv(&mut self, src: NodeId, tag: Tag, max: usize) -> RecvReqId {
         let req = RecvReqId(self.alloc_id());
-        let shard = self.shard_of(src, tag);
-        self.stage(shard, EngineOp::Recv { req, src, tag, max });
+        self.stage(EngineOp::Recv { req, src, tag, max });
         req
     }
 
-    /// Operations staged since the last flush, across all shards.
+    /// Operations staged since the last flush.
     #[inline]
     pub fn pending(&self) -> usize {
         self.pending
     }
 
-    /// Pushes the partially filled slots (if any) and rings each
-    /// touched shard's doorbell once for everything staged since the
-    /// last flush. The builder is reusable afterwards.
+    /// Pushes the partially filled slot (if any) and rings the doorbell
+    /// once for everything staged since the last flush. The builder is
+    /// reusable afterwards.
     pub fn flush(&mut self) {
-        self.pending = 0;
-        if !self.primary.is_empty() {
-            let full = std::mem::take(&mut self.primary);
-            self.push_slot(0, full);
+        if !self.slot.is_empty() {
+            let full = std::mem::take(&mut self.slot);
+            self.push_slot(full);
         }
-        if self.primary_staged > 0 {
-            self.handle.shared.rings[0].doorbell();
-            self.primary_staged = 0;
-        }
-        for shard in 1..self.shards {
-            if !self.rest[shard - 1].0.is_empty() {
-                let full = std::mem::take(&mut self.rest[shard - 1].0);
-                self.push_slot(shard, full);
-            }
-            if self.rest[shard - 1].1 > 0 {
-                self.handle.shared.rings[shard].doorbell();
-                self.rest[shard - 1].1 = 0;
-            }
+        if self.pending > 0 {
+            self.handle.shared.ring.doorbell();
+            self.pending = 0;
         }
     }
 }
@@ -837,22 +644,20 @@ impl Drop for SubmitBatch<'_> {
     }
 }
 
-/// Max operations a progression thread drains from its ring between
+/// Max operations the progression thread drains from its ring between
 /// pumps, bounding submission-drain latency vs fairness.
 const SUBMIT_BATCH: usize = 256;
 
-/// How long a progression thread parks when its engine is idle and its
-/// ring is empty before re-checking.
+/// How long the progression thread parks when its engine is idle and
+/// its ring is empty before re-checking.
 const IDLE_PARK: Duration = Duration::from_micros(200);
 
-/// A progression shard's thread body: drain the submission ring, pump
-/// the engine, harvest completions, park when idle.
-/// Every shard count runs the same loop: shards share nothing but the
-/// board, the id watermark and the liveness flag.
-// HOT-PATH: shard pump loop
-fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
+/// The progression thread's body: drain the submission ring, pump the
+/// engine, harvest completions, park when idle.
+// HOT-PATH: progression pump loop
+fn run(mut engine: NmadEngine, shared: &Shared) -> NmadEngine {
     let mut shutting_down = false;
-    let ring = &shared.rings[shard]; // PANIC-OK: shard < rings.len() by the spawn loop
+    let ring = &shared.ring;
     loop {
         // 1. Drain a bounded batch of submissions: one ring pop hands
         // over a whole slot of up to SLOT_OPS operations, so the
@@ -876,7 +681,7 @@ fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
                     }
                     EngineOp::Snapshot => {
                         let snap = engine.metrics();
-                        shared.snap_slot.lock()[shard] = Some(snap);
+                        *shared.snap_slot.lock() = Some(snap);
                         shared.snap_cv.notify_all();
                     }
                     EngineOp::Shutdown => shutting_down = true,
@@ -905,13 +710,6 @@ fn run(mut engine: NmadEngine, shared: &Shared, shard: usize) -> NmadEngine {
         let harvested = !done_sends.is_empty() || !done_recvs.is_empty();
         shared.board.post_sends_done(&done_sends);
         shared.board.post_recvs_done(done_recvs);
-
-        // Another shard died: exit even if not quiescent, so shutdown
-        // joins don't hang behind work that can never finish.
-        // ORDERING: advisory liveness flag; the error message travels under the board mutex
-        if shared.dead.load(Ordering::Relaxed) {
-            break;
-        }
 
         if shutting_down && ring.is_empty() && engine.tx_quiescent() {
             break;
@@ -945,7 +743,7 @@ mod model_tests {
     fn model_board_distinct_posts_are_duplicate_free() {
         let stats = Checker::new()
             .check(|| {
-                let board = Arc::new(CompletionBoard::new(1));
+                let board = Arc::new(CompletionBoard::new());
                 let (b1, b2) = (Arc::clone(&board), Arc::clone(&board));
                 let t1 = thread::spawn(move || b1.post_sends_done(&[SendReqId(1)]));
                 let t2 = thread::spawn(move || b2.post_sends_done(&[SendReqId(2)]));
@@ -978,7 +776,7 @@ mod model_tests {
     fn model_board_counts_racing_duplicate_posts() {
         Checker::new()
             .check(|| {
-                let board = Arc::new(CompletionBoard::new(1));
+                let board = Arc::new(CompletionBoard::new());
                 let (b1, b2) = (Arc::clone(&board), Arc::clone(&board));
                 let t1 = thread::spawn(move || b1.post_sends_done(&[SendReqId(7)]));
                 let t2 = thread::spawn(move || b2.post_sends_done(&[SendReqId(7)]));
@@ -1001,56 +799,34 @@ mod tests {
     use crate::engine::EngineCosts;
     use crate::strategy::StratAggreg;
     use nmad_net::mem::mem_fabric;
-    use nmad_net::NullMeter;
+    use nmad_net::{Driver, NullMeter};
 
-    fn mem_pair() -> (ThreadedEngine, ThreadedEngine) {
-        let mut fabric = mem_fabric(2);
-        let b = fabric.pop().unwrap();
-        let a = fabric.pop().unwrap();
-        let launch = |d: nmad_net::mem::MemDriver| {
-            ThreadedEngine::launch(
-                NmadEngine::new(
-                    vec![Box::new(d)],
-                    Box::new(NullMeter),
-                    Box::new(StratAggreg),
-                    EngineCosts::zero(),
-                ),
-                EngineConfig::threaded(),
-            )
-        };
-        (launch(a), launch(b))
+    fn engine_over(rails: Vec<Box<dyn Driver>>) -> NmadEngine {
+        NmadEngine::new(
+            rails,
+            Box::new(NullMeter),
+            Box::new(StratAggreg),
+            EngineCosts::zero(),
+        )
     }
 
     /// A two-node pair with `rails` independent in-memory rails per
-    /// node (one fabric per rail), launched with `shards` progression
-    /// shards.
-    fn mem_pair_sharded(rails: usize, shards: usize) -> (ThreadedEngine, ThreadedEngine) {
-        let mut a_rails: Vec<Box<dyn nmad_net::Driver>> = Vec::new();
-        let mut b_rails: Vec<Box<dyn nmad_net::Driver>> = Vec::new();
+    /// node (one fabric per rail), each node on its own runtime.
+    fn mem_pair(rails: usize) -> (ThreadedEngine, ThreadedEngine) {
+        let mut a_rails: Vec<Box<dyn Driver>> = Vec::new();
+        let mut b_rails: Vec<Box<dyn Driver>> = Vec::new();
         for _ in 0..rails {
             let mut fabric = mem_fabric(2);
-            let b = fabric.pop().unwrap();
-            let a = fabric.pop().unwrap();
-            a_rails.push(Box::new(a));
-            b_rails.push(Box::new(b));
+            b_rails.push(Box::new(fabric.pop().unwrap()));
+            a_rails.push(Box::new(fabric.pop().unwrap()));
         }
-        let launch = |drivers: Vec<Box<dyn nmad_net::Driver>>| {
-            ThreadedEngine::launch(
-                NmadEngine::new(
-                    drivers,
-                    Box::new(NullMeter),
-                    Box::new(StratAggreg),
-                    EngineCosts::zero(),
-                ),
-                EngineConfig::sharded(shards),
-            )
-        };
+        let launch = |rails| ThreadedEngine::launch(engine_over(rails), EngineConfig::threaded());
         (launch(a_rails), launch(b_rails))
     }
 
     #[test]
     fn threaded_roundtrip_delivers_payload() {
-        let (a, b) = mem_pair();
+        let (a, b) = mem_pair(1);
         let (ah, bh) = (a.handle(), b.handle());
         let r = bh.post_recv(NodeId(0), Tag(5), 64);
         let s = ah.isend(NodeId(1), Tag(5), &b"payload"[..]);
@@ -1065,7 +841,7 @@ mod tests {
 
     #[test]
     fn batched_submission_roundtrip_with_one_flush() {
-        let (a, b) = mem_pair();
+        let (a, b) = mem_pair(1);
         let (ah, bh) = (a.handle(), b.handle());
         let n = 40u32; // several ring slots' worth
 
@@ -1096,7 +872,7 @@ mod tests {
 
     #[test]
     fn dropping_an_unflushed_batch_flushes_it() {
-        let (a, b) = mem_pair();
+        let (a, b) = mem_pair(1);
         let (ah, bh) = (a.handle(), b.handle());
         let r = bh.post_recv(NodeId(0), Tag(9), 16);
         let s = {
@@ -1111,7 +887,7 @@ mod tests {
 
     #[test]
     fn batched_and_single_submissions_interleave_per_flow_fifo() {
-        let (a, b) = mem_pair();
+        let (a, b) = mem_pair(1);
         let (ah, bh) = (a.handle(), b.handle());
         let recvs: Vec<_> = (0..6).map(|_| bh.post_recv(NodeId(0), Tag(3), 8)).collect();
         let s1 = ah.isend(NodeId(1), Tag(3), &b"m0"[..]);
@@ -1136,7 +912,7 @@ mod tests {
 
     #[test]
     fn threaded_rendezvous_roundtrip() {
-        let (a, b) = mem_pair();
+        let (a, b) = mem_pair(1);
         let (ah, bh) = (a.handle(), b.handle());
         let body: Vec<u8> = (0..200_000u32).map(|i| (i % 241) as u8).collect();
         let r = bh.post_recv(NodeId(0), Tag(1), body.len());
@@ -1147,7 +923,7 @@ mod tests {
 
     #[test]
     fn threaded_shutdown_returns_the_engine_for_inline_use() {
-        let (a, b) = mem_pair();
+        let (a, b) = mem_pair(1);
         let (ah, bh) = (a.handle(), b.handle());
         let r = bh.post_recv(NodeId(0), Tag(0), 16);
         let s = ah.isend(NodeId(1), Tag(0), &b"one"[..]);
@@ -1172,7 +948,7 @@ mod tests {
 
     #[test]
     fn threaded_metrics_snapshot_is_exact() {
-        let (a, b) = mem_pair();
+        let (a, b) = mem_pair(1);
         let (ah, bh) = (a.handle(), b.handle());
         let n = 8u32;
         let recvs: Vec<_> = (0..n)
@@ -1197,15 +973,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_roundtrip_covers_every_shard() {
-        let (a, b) = mem_pair_sharded(2, 2);
-        assert_eq!(a.shards(), 2);
+    fn multi_rail_roundtrip_delivers_single_and_multi_part_sends() {
+        let (a, b) = mem_pair(2);
         let (ah, bh) = (a.handle(), b.handle());
-        // Enough tags that HashByDest populates both shards.
         let n = 32u32;
-        let shards_hit: std::collections::HashSet<usize> =
-            (0..n).map(|t| ah.shard_of(NodeId(1), Tag(t))).collect();
-        assert_eq!(shards_hit.len(), 2, "tag mix must cover both shards");
         let recvs: Vec<_> = (0..n)
             .map(|t| bh.post_recv(NodeId(0), Tag(t), 64))
             .collect();
@@ -1235,20 +1006,41 @@ mod tests {
         assert_eq!(bh.completion_duplicates(), 0);
     }
 
+    /// A rail hint crosses the ring with its send: on a 2-rail runtime
+    /// every hinted frame leaves on the rail it names, seen directly at
+    /// the peer's two raw endpoints.
     #[test]
-    fn sharded_launch_clamps_shards_to_rail_count() {
-        let (a, b) = mem_pair_sharded(2, 8);
-        assert_eq!(a.shards(), 2, "no shard may run without a rail");
-        let (ah, bh) = (a.handle(), b.handle());
-        let r = bh.post_recv(NodeId(0), Tag(1), 16);
-        let s = ah.isend(NodeId(1), Tag(1), &b"clamped"[..]);
-        ah.wait_send(s);
-        assert_eq!(bh.wait_recv(r).data, b"clamped");
+    fn rail_hints_cross_the_ring_to_their_rail() {
+        let mut rails: Vec<Box<dyn Driver>> = Vec::new();
+        let mut peers = Vec::new();
+        for _ in 0..2 {
+            let mut fabric = mem_fabric(2);
+            peers.push(fabric.pop().unwrap());
+            rails.push(Box::new(fabric.pop().unwrap()));
+        }
+        let a = ThreadedEngine::launch(engine_over(rails), EngineConfig::threaded());
+        let ah = a.handle();
+        for rail in [1usize, 0, 1] {
+            let part = (Bytes::from_static(b"pinned"), Priority::Normal);
+            let s = ah.submit_send_parts(NodeId(1), Tag(0), vec![part], Some(rail));
+            ah.wait_send(s);
+            let frame = loop {
+                if let Some(frame) = peers[rail].poll_recv().unwrap() {
+                    break frame;
+                }
+                std::thread::yield_now();
+            };
+            assert_eq!(frame.src, NodeId(0));
+            assert!(
+                peers[1 - rail].poll_recv().unwrap().is_none(),
+                "a send hinted to rail {rail} left on the other rail"
+            );
+        }
     }
 
     #[test]
-    fn sharded_shutdown_merges_back_to_one_inline_engine() {
-        let (a, b) = mem_pair_sharded(2, 2);
+    fn multi_rail_shutdown_returns_every_rail_for_inline_use() {
+        let (a, b) = mem_pair(2);
         let (ah, bh) = (a.handle(), b.handle());
         let n = 16u32;
         let recvs: Vec<_> = (0..n)
@@ -1262,11 +1054,11 @@ mod tests {
         let max_send = sends.iter().map(|s| s.0).max().unwrap();
         let mut a = a.shutdown();
         let mut b = b.shutdown();
-        assert_eq!(a.rail_count(), 2, "merge restores every rail");
-        // Inline use after the merge; sequence state must continue the
+        assert_eq!(a.rail_count(), 2, "shutdown returns every rail");
+        // Inline use after shutdown; sequence state must continue the
         // threaded phase's per-flow numbering.
         let r2 = b.post_recv(NodeId(0), Tag(3), 32);
-        let s2 = a.isend(NodeId(1), Tag(3), &b"post-merge"[..]);
+        let s2 = a.isend(NodeId(1), Tag(3), &b"after shutdown"[..]);
         assert!(s2.0 > max_send, "request ids reused after shutdown");
         for _ in 0..10_000 {
             a.progress_until_idle();
@@ -1275,12 +1067,12 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(b.try_take_recv(r2).unwrap().data, b"post-merge");
+        assert_eq!(b.try_take_recv(r2).unwrap().data, b"after shutdown");
     }
 
     #[test]
-    fn sharded_metrics_aggregate_across_shards() {
-        let (a, b) = mem_pair_sharded(2, 2);
+    fn multi_rail_metrics_snapshot_lists_every_rail() {
+        let (a, b) = mem_pair(2);
         let (ah, bh) = (a.handle(), b.handle());
         let n = 24u32;
         let recvs: Vec<_> = (0..n)
@@ -1294,42 +1086,36 @@ mod tests {
         let snap = ah.metrics();
         assert_eq!(snap.engine.requests_submitted, u64::from(n));
         assert_eq!(snap.wire.data_entries, u64::from(n));
-        assert_eq!(snap.nics.len(), 2, "both rails in the aggregate");
+        assert_eq!(snap.nics.len(), 2, "both rails in the snapshot");
     }
 
-    /// A transport error kills the shard that hits it, waiters panic
-    /// with its diagnosis, and every other shard leaves through the
-    /// `dead` flag, so dropping the runtime still joins. With two
-    /// shards, shard 1 holds a rendezvous whose RTS is never answered:
-    /// it is not quiescent, so a clean shutdown alone would never let
-    /// it exit.
+    /// A transport error stops the progression thread, waiters panic
+    /// with its diagnosis, and dropping the runtime still joins. With
+    /// two rails the engine also holds a rendezvous whose RTS is never
+    /// answered: it is not quiescent, so only the error lets the thread
+    /// exit.
     #[test]
-    fn transport_failure_reaches_waiters_and_stops_every_shard() {
-        use nmad_net::Driver;
-        for shards in [1, 2] {
-            let mut rails: Vec<Box<dyn Driver>> = Vec::new();
+    fn transport_failure_reaches_waiters_and_stops_the_runtime() {
+        for rails in [1, 2] {
+            let mut drivers: Vec<Box<dyn Driver>> = Vec::new();
             let mut peers = Vec::new();
-            for _ in 0..shards {
+            for _ in 0..rails {
                 let mut fabric = mem_fabric(2);
                 peers.push(fabric.pop().unwrap());
-                rails.push(Box::new(fabric.pop().unwrap()));
+                drivers.push(Box::new(fabric.pop().unwrap()));
             }
-            let a = ThreadedEngine::launch(
-                NmadEngine::new(
-                    rails,
-                    Box::new(NullMeter),
-                    Box::new(StratAggreg),
-                    EngineCosts::zero(),
-                ),
-                EngineConfig::sharded(shards),
-            );
+            let a = ThreadedEngine::launch(engine_over(drivers), EngineConfig::threaded());
             let ah = a.handle();
-            if shards == 2 {
-                let tag = (0..).map(Tag).find(|&t| ah.shard_of(NodeId(1), t) == 1);
-                ah.isend(NodeId(1), tag.unwrap(), vec![0u8; 100_000]);
-                // Rail 1 belongs to shard 1: the RTS arriving there
-                // means shard 1 now waits for a CTS.
-                while peers[1].poll_recv().unwrap().is_none() {
+            if rails == 2 {
+                ah.isend(NodeId(1), Tag(1), vec![0u8; 100_000]);
+                // The RTS reaching a peer endpoint means the engine now
+                // waits for a CTS that never comes.
+                'rts: loop {
+                    for peer in &mut peers {
+                        if peer.poll_recv().unwrap().is_some() {
+                            break 'rts;
+                        }
+                    }
                     std::thread::yield_now();
                 }
             }
@@ -1338,7 +1124,7 @@ mod tests {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ah.wait_recv(r)))
                 .expect_err("a malformed frame must stop the runtime");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("malformed frame"), "{shards} shard(s): {msg}");
+            assert!(msg.contains("malformed frame"), "{rails} rail(s): {msg}");
             drop(a);
         }
     }
@@ -1358,5 +1144,31 @@ mod tests {
             EngineCosts::zero(),
         );
         let _ = ThreadedEngine::launch(engine, EngineConfig::threaded());
+    }
+
+    /// The simulator's veto survives every driver decorator: each one
+    /// forwards `threaded_progress_safe` to the driver it wraps.
+    #[test]
+    fn threaded_launch_rejects_decorated_simulated_drivers() {
+        use nmad_net::sim::SimDriver;
+        use nmad_net::{LossyDriver, ReliableDriver, SelectiveDriver};
+        use nmad_sim::{nic, shared_world, RailId, SimConfig};
+        let decorators: [fn(SimDriver) -> Box<dyn Driver>; 3] = [
+            |d| Box::new(LossyDriver::new(d, 0.0, 1)),
+            |d| Box::new(ReliableDriver::new(d, Box::new(|| 0), None, 1_000_000)),
+            |d| Box::new(SelectiveDriver::new(d, Box::new(|| 0), None, 1_000_000)),
+        ];
+        for decorate in decorators {
+            let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
+            let driver = decorate(SimDriver::new(world, NodeId(0), RailId(0)));
+            let engine = engine_over(vec![driver]);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ThreadedEngine::launch(engine, EngineConfig::threaded())
+            }))
+            .err()
+            .expect("a decorated simulated driver must keep its veto");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("refuses background progression"), "{msg}");
+        }
     }
 }

@@ -359,6 +359,14 @@ impl Window {
         self.dedicated[nic].len() + self.common.len()
     }
 
+    /// Application segments queued anywhere in the window — the common
+    /// list and every dedicated list — in O(1), from the lane index.
+    /// Control messages and rendezvous jobs are not segments, so
+    /// `len() == 0` does not imply [`is_empty`](Self::is_empty).
+    pub fn len(&self) -> usize {
+        self.lane_counts.iter().sum()
+    }
+
     /// Destination the next frame for `nic` should target, honouring
     /// the urgency order control > rendezvous data > fresh segments.
     // HOT-PATH: window drain
@@ -495,10 +503,11 @@ impl Window {
         self.dedicated.len()
     }
 
-    // --- shard split / merge ---
+    // --- shard split ---
 
-    /// Splits the window into `shards` parts for the sharded
-    /// progression runtime.
+    /// Splits the window into `shards` parts, one per engine
+    /// [`NmadEngine::split_for_shards`](crate::NmadEngine::split_for_shards)
+    /// returns.
     ///
     /// * **Dedicated lists** follow their rail: global rail `r` belongs
     ///   to shard `r % shards` (the same round-robin partition the
@@ -509,12 +518,11 @@ impl Window {
     ///   to `owner(dst, tag)` — the shard-routing function — keeping
     ///   their relative order within each part.
     ///
-    /// Every queued item lands in exactly one part and every part's
-    /// destination index is consistent ([`Self::index_is_consistent`]);
-    /// [`Window::merge`] restores the original window exactly up to the
-    /// documented interleaving (per-flow order is always preserved,
-    /// which is the delivery-relevant invariant — receivers restore
-    /// per-flow order from sequence numbers regardless).
+    /// Every queued item lands in exactly one part, per-flow order is
+    /// preserved within each part (the delivery-relevant invariant —
+    /// receivers restore per-flow order from sequence numbers
+    /// regardless), and every part's destination index is consistent
+    /// ([`Self::index_is_consistent`]).
     pub fn split(self, shards: usize, mut owner: impl FnMut(NodeId, Tag) -> usize) -> Vec<Window> {
         assert!(shards > 0, "cannot split into zero shards");
         let nic_count = self.dedicated.len();
@@ -547,36 +555,6 @@ impl Window {
         }
         debug_assert!(parts.iter().all(Window::index_is_consistent));
         parts
-    }
-
-    /// Reassembles a window from the parts produced by
-    /// [`Window::split`], inverting the rail partition: part `s`'s
-    /// local list `j` becomes global rail `j * parts.len() + s`.
-    /// Control, common and rendezvous queues concatenate in part
-    /// order, preserving each part's internal (hence per-flow) order.
-    pub fn merge(parts: Vec<Window>) -> Window {
-        assert!(!parts.is_empty(), "cannot merge zero windows");
-        let shards = parts.len();
-        let nic_count: usize = parts.iter().map(|p| p.dedicated.len()).sum();
-        let mut merged = Window::new(nic_count);
-        for (s, part) in parts.into_iter().enumerate() {
-            for (j, list) in part.dedicated.into_iter().enumerate() {
-                for w in list {
-                    merged.push_segment(w, Some(j * shards + s));
-                }
-            }
-            for msg in part.ctrl {
-                merged.push_ctrl(msg);
-            }
-            for w in part.common {
-                merged.push_segment(w, None);
-            }
-            for job in part.rdv {
-                merged.push_rdv(job);
-            }
-        }
-        debug_assert!(merged.index_is_consistent());
-        merged
     }
 
     /// Read-only view of a dedicated list (selection heuristics).
@@ -1063,24 +1041,17 @@ mod failover_tests {
         assert_eq!(parts[1].common_ref().len(), 1);
         assert_eq!(parts[0].ctrl_ref().len(), 1);
         assert!(parts.iter().all(Window::index_is_consistent));
-        let merged = Window::merge(parts);
-        assert_eq!(merged.nic_count(), 4);
-        assert!(merged.index_is_consistent());
-        assert_eq!(merged.dedicated_ref(0).len(), 1);
-        assert_eq!(merged.dedicated_ref(3).len(), 1);
-        assert_eq!(merged.common_ref().len(), 1);
-        assert_eq!(merged.ctrl_ref().len(), 1);
+        assert_eq!(parts.iter().map(Window::len).sum::<usize>(), 3);
     }
 }
 
-/// Satellite 3: `Window::split` / `Window::merge` round-trip exactly for
-/// arbitrary shard counts and destination mixes. "Exactly" means: the
-/// per-destination index stays consistent in every part and after the
-/// merge, dedicated rail lists are restored verbatim, and every traffic
-/// class is restored as a multiset with per-flow (dst, tag) relative
-/// order preserved.
+/// `Window::split` places every queued item exactly once, for arbitrary
+/// shard counts and destination mixes: each part's destination index
+/// stays consistent, part `s`'s dedicated list `j` is global rail
+/// `j·n + s` verbatim, and every routed item sits on its owner shard
+/// with per-flow (dst, tag) relative order preserved.
 #[cfg(test)]
-mod split_roundtrip_props {
+mod split_props {
     use super::*;
     use crate::segment::Priority;
     use proptest::prelude::*;
@@ -1111,8 +1082,7 @@ mod split_roundtrip_props {
         }
     }
 
-    /// Flattened identity of a queued item, comparable across the
-    /// round trip: (class, dst, tag, seq).
+    /// A window holding the generated pushes, in order.
     fn build(nics: usize, ops: &[Op]) -> Window {
         let mut w = Window::new(nics);
         for (i, &(kind, dst, tag, rail)) in ops.iter().enumerate() {
@@ -1138,6 +1108,8 @@ mod split_roundtrip_props {
         w
     }
 
+    /// Flattened identity of a queued item, comparable across the
+    /// split: (dst, tag, seq).
     fn ctrl_ids(w: &Window) -> Vec<(u32, u32, u32)> {
         w.ctrl_ref()
             .iter()
@@ -1185,7 +1157,7 @@ mod split_roundtrip_props {
 
     proptest! {
         #[test]
-        fn split_merge_roundtrips_exactly(
+        fn split_places_every_item_exactly_once(
             nics in 1usize..5,
             shards in 1usize..6,
             ops in proptest::collection::vec(
@@ -1198,13 +1170,19 @@ mod split_roundtrip_props {
             let before_common = common_ids(&original);
             let before_rdv = rdv_ids(&original);
             let before_dedicated = dedicated_ids(&original);
+            let before_len = original.len();
 
             let parts = original.split(shards, owner_hash);
             prop_assert_eq!(parts.len(), shards);
+            let (mut ctrl, mut common, mut rdv) = (Vec::new(), Vec::new(), Vec::new());
             let mut total_nics = 0;
             for (s, part) in parts.iter().enumerate() {
                 prop_assert!(part.index_is_consistent(), "part {} index diverged", s);
                 total_nics += part.nic_count();
+                // Dedicated lists follow their rail, verbatim.
+                for (j, list) in dedicated_ids(part).into_iter().enumerate() {
+                    prop_assert_eq!(&list, &before_dedicated[j * shards + s]);
+                }
                 // Routed classes must actually live on their owner shard.
                 for m in part.ctrl_ref() {
                     prop_assert_eq!(owner_hash(m.dst, m.tag) % shards, s);
@@ -1215,27 +1193,22 @@ mod split_roundtrip_props {
                 for j in part.rdv_ref() {
                     prop_assert_eq!(owner_hash(j.dst, j.tag) % shards, s);
                 }
+                ctrl.extend(ctrl_ids(part));
+                common.extend(common_ids(part));
+                rdv.extend(rdv_ids(part));
             }
             prop_assert_eq!(total_nics, nics, "no rail lost or duplicated");
+            prop_assert_eq!(parts.iter().map(Window::len).sum::<usize>(), before_len);
 
-            let merged = Window::merge(parts);
-            prop_assert!(merged.index_is_consistent());
-            prop_assert_eq!(merged.nic_count(), nics);
-
-            // Dedicated rail lists are restored verbatim.
-            prop_assert_eq!(dedicated_ids(&merged), before_dedicated);
-
-            // Routed classes: multiset identity...
-            let after_ctrl = ctrl_ids(&merged);
-            let after_common = common_ids(&merged);
-            let after_rdv = rdv_ids(&merged);
-            prop_assert_eq!(sorted(after_ctrl.clone()), sorted(before_ctrl.clone()));
-            prop_assert_eq!(sorted(after_common.clone()), sorted(before_common.clone()));
-            prop_assert_eq!(sorted(after_rdv.clone()), sorted(before_rdv.clone()));
-            // ...and per-flow (dst, tag) relative order preserved.
-            prop_assert_eq!(per_flow(&after_ctrl), per_flow(&before_ctrl));
-            prop_assert_eq!(per_flow(&after_common), per_flow(&before_common));
-            prop_assert_eq!(per_flow(&after_rdv), per_flow(&before_rdv));
+            // Routed classes: every item in exactly one part...
+            prop_assert_eq!(sorted(ctrl.clone()), sorted(before_ctrl.clone()));
+            prop_assert_eq!(sorted(common.clone()), sorted(before_common.clone()));
+            prop_assert_eq!(sorted(rdv.clone()), sorted(before_rdv.clone()));
+            // ...and, since a flow lives on one part, concatenating the
+            // parts keeps per-flow (dst, tag) relative order.
+            prop_assert_eq!(per_flow(&ctrl), per_flow(&before_ctrl));
+            prop_assert_eq!(per_flow(&common), per_flow(&before_common));
+            prop_assert_eq!(per_flow(&rdv), per_flow(&before_rdv));
         }
 
         #[test]
@@ -1248,9 +1221,7 @@ mod split_roundtrip_props {
                 prop_assert!(part.is_empty());
                 prop_assert!(part.index_is_consistent());
             }
-            let merged = Window::merge(parts);
-            prop_assert!(merged.is_empty());
-            prop_assert_eq!(merged.nic_count(), nics);
+            prop_assert_eq!(parts.iter().map(Window::nic_count).sum::<usize>(), nics);
         }
     }
 }

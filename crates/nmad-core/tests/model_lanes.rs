@@ -2,15 +2,17 @@
 //!
 //! Compiled only under `--features nmad-model` (mapped to
 //! `cfg(nmad_model)` by build.rs). The lane-aware window index and the
-//! sharded submission path together promise *per-lane FIFO across
-//! shards*: one flow's segments land in one shard, and inside that
-//! shard the window serves each lane in submission order, no matter
-//! how racing submitters interleave. Two properties are proven over
-//! every explored schedule, each with a deliberately weakened mutant
-//! the checker must catch:
+//! flow routing of split engines
+//! ([`NmadEngine::split_for_shards`](nmad_core::NmadEngine::split_for_shards))
+//! together promise *per-lane FIFO across shards*: one flow's segments
+//! land in one split engine, and inside it the window serves each lane
+//! in submission order, no matter how racing submitters interleave.
+//! Each split engine's submission queue is modelled as a ring. Two
+//! properties are proven over every explored schedule, each with a
+//! deliberately weakened mutant the checker must catch:
 //!
 //! 1. **Per-lane FIFO across shards** — flows of different priorities
-//!    race through the per-shard submission rings into lane-indexed
+//!    race through per-shard submission queues into lane-indexed
 //!    windows; per-lane extraction yields every flow in submission
 //!    order, wholly inside the shard the pure routing hash names.
 //! 2. **Lane occupancy conservation** — the per-lane depth counters
@@ -27,7 +29,7 @@ use nmad_sim::NodeId;
 use nmad_verify::{thread, CheckStats, Checker};
 use std::sync::Arc;
 
-/// One submitted segment as it crosses a shard ring: flow destination,
+/// One submitted segment as it crosses a shard's queue: flow destination,
 /// flow tag, priority lane, per-flow sequence.
 type RingMsg = (u32, u32, u8, u32);
 
@@ -48,10 +50,10 @@ fn wrapper(msg: RingMsg, order: u64) -> PackWrapper {
 // 1. Per-lane FIFO across shards.
 // ---------------------------------------------------------------------
 
-/// Three flows of three different priorities race through two shard
-/// rings (route recomputed per message — purity is what pins a flow to
-/// one shard). Each ring drains in pop order into that shard's
-/// lane-indexed window; per-lane extraction must then yield every flow
+/// Three flows of three different priorities race through two shards'
+/// queues, modelled as rings (route recomputed per message — purity is
+/// what pins a flow to one shard). Each ring drains in pop order into
+/// that shard's lane-indexed window; per-lane extraction must then yield every flow
 /// in exact submission order, entirely inside its routed shard.
 fn check_per_lane_fifo_across_shards(dedup: bool) -> CheckStats {
     Checker::new()
@@ -200,7 +202,7 @@ fn model_lane_occupancy_is_conserved_across_racing_producers() {
 /// Mutant: the submission-order stamp demoted from `fetch_add` to a
 /// torn load-then-store. Aging promotion (`age = horizon - order`) and
 /// the per-lane FIFO tie-break both lean on stamps being unique; two
-/// shard contexts reading the same watermark hand out the same stamp —
+/// submitting contexts reading the same watermark hand out the same stamp —
 /// the checker must find that schedule and hand back a replayable path.
 #[test]
 fn model_torn_lane_order_stamp_mutant_is_caught() {

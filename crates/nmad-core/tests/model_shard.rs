@@ -1,17 +1,20 @@
-//! Exhaustive model-checking of the sharded-runtime protocols.
+//! Exhaustive model-checking of the protocols that shared request ids
+//! and shard routing lean on.
 //!
 //! Compiled only under `--features nmad-model` (mapped to
-//! `cfg(nmad_model)` by build.rs). Two properties the sharded
-//! progression runtime leans on, each proven over every explored
-//! schedule and paired with a deliberately weakened mutant the checker
-//! must catch:
+//! `cfg(nmad_model)` by build.rs). Two properties, each proven over
+//! every explored schedule and paired with a deliberately weakened
+//! mutant the checker must catch:
 //!
-//! 1. **Cross-shard id watermark** — request ids allocated by racing
-//!    shards are unique and dense, so the completion board can bucket
-//!    by `id % buckets` without collisions.
-//! 2. **Per-destination FIFO** — the routing function is pure, so one
-//!    flow's messages always land in one shard's ring and stay in
-//!    submission order end to end.
+//! 1. **Shared id watermark** — request ids allocated by racing
+//!    submitters (application threads sharing one runtime's cloned
+//!    `ThreadedHandle`s) are unique and dense, so the completion board
+//!    can bucket by `id % buckets` without collisions.
+//! 2. **Per-destination FIFO** — the routing function split engines
+//!    ([`NmadEngine::split_for_shards`](nmad_core::NmadEngine::split_for_shards))
+//!    use is pure, so one flow's messages always land in one shard's
+//!    submission queue (modelled as a ring) and stay in submission
+//!    order end to end.
 
 #![cfg(nmad_model)]
 
@@ -23,11 +26,11 @@ use nmad_verify::{thread, CheckStats, Checker};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// 1. Cross-shard id watermark.
+// 1. Shared id watermark.
 // ---------------------------------------------------------------------
 
-/// The sharded handle's id allocator: every shard context draws request
-/// ids from one shared `AtomicU64` via `fetch_add`. Across every
+/// The threaded handle's id allocator: every submitting context draws
+/// request ids from one shared `AtomicU64` via `fetch_add`. Across every
 /// schedule the ids handed out are unique *and dense* — the completion
 /// board's `id % buckets` mapping relies on both.
 fn check_cross_shard_id_watermark(dedup: bool) -> CheckStats {
@@ -78,8 +81,8 @@ fn model_cross_shard_id_watermark_is_unique_and_dense() {
 }
 
 /// Mutant: the allocator demoted from `fetch_add` to a racy
-/// load-then-store. Two shards can read the same watermark and hand out
-/// the same request id — the checker must find that schedule.
+/// load-then-store. Two submitters can read the same watermark and hand
+/// out the same request id — the checker must find that schedule.
 #[test]
 fn model_cross_shard_id_watermark_load_store_mutant_is_caught() {
     let failure = Checker::new()
@@ -114,8 +117,8 @@ fn model_cross_shard_id_watermark_load_store_mutant_is_caught() {
 // ---------------------------------------------------------------------
 
 /// Routing is a pure function of the flow, so one flow's messages all
-/// land in one shard's submission ring — in submission order — even
-/// while another flow races into the other ring. Both endpoints agree
+/// land in one shard's submission queue — in submission order — even
+/// while another flow races into the other queue. Both endpoints agree
 /// on the owner (the hash is symmetric in the node pair), which is what
 /// keeps per-flow FIFO global, not per-node.
 fn check_per_destination_fifo(dedup: bool) -> CheckStats {

@@ -6,7 +6,7 @@
 //! how engines behave over unreliable datagram fabrics (the paper's
 //! networks are lossless; plain Ethernet is not).
 
-use crate::driver::{Capabilities, Driver, NetResult, RxFrame, SendHandle};
+use crate::driver::{Capabilities, Driver, LinkStats, NetResult, RxFrame, SendHandle};
 use crate::fault::{DetRng, FaultPlan, FaultStats};
 use nmad_sim::NodeId;
 
@@ -96,6 +96,10 @@ impl<D: Driver> Driver for LossyDriver<D> {
         self.inner.pump()
     }
 
+    fn link_stats(&self) -> LinkStats {
+        self.inner.link_stats()
+    }
+
     fn install_faults(&mut self, plan: FaultPlan) -> bool {
         self.inner.install_faults(plan)
     }
@@ -110,6 +114,10 @@ impl<D: Driver> Driver for LossyDriver<D> {
 
     fn set_rx_backpressure(&mut self, paused: bool) {
         self.inner.set_rx_backpressure(paused);
+    }
+
+    fn threaded_progress_safe(&self) -> bool {
+        self.inner.threaded_progress_safe()
     }
 }
 
@@ -181,5 +189,20 @@ mod tests {
         }
         assert_eq!(arrived as u64, lossy.stats().passed);
         assert!(arrived < 40, "some frames must have been dropped");
+    }
+
+    #[test]
+    fn link_stats_pass_through_from_the_wrapped_driver() {
+        use crate::sim::SimDriver;
+        use nmad_sim::{nic, shared_world, RailId, SimConfig};
+        let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
+        let _b = SimDriver::new(world.clone(), NodeId(1), RailId(0));
+        let raw = SimDriver::new(world.clone(), NodeId(0), RailId(0));
+        let mut lossy = LossyDriver::new(raw, 0.0, 5);
+        lossy.post_send(NodeId(1), &[&[0u8; 1 << 16]]).unwrap();
+        while world.lock().advance().is_some() {}
+        let stats = lossy.link_stats();
+        assert!(stats.busy_ns > 0, "wire time must reach the snapshot");
+        assert_eq!(stats, lossy.inner().link_stats());
     }
 }

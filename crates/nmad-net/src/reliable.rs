@@ -423,6 +423,10 @@ impl<D: Driver> Driver for ReliableDriver<D> {
     fn set_rx_backpressure(&mut self, paused: bool) {
         self.inner.set_rx_backpressure(paused);
     }
+
+    fn threaded_progress_safe(&self) -> bool {
+        self.inner.threaded_progress_safe()
+    }
 }
 
 #[cfg(test)]

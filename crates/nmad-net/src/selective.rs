@@ -15,7 +15,7 @@
 //! per attempt (shared [`BackoffPolicy`] schedule).
 
 use crate::backoff::BackoffPolicy;
-use crate::driver::{Capabilities, Driver, NetResult, RxFrame, SendHandle};
+use crate::driver::{Capabilities, Driver, LinkStats, NetResult, RxFrame, SendHandle};
 use crate::fault::{checksum32, FaultPlan, FaultStats};
 use bytes::Bytes;
 use nmad_sim::NodeId;
@@ -246,6 +246,13 @@ impl<D: Driver> Driver for SelectiveDriver<D> {
         self.inner.tx_idle()
     }
 
+    fn link_stats(&self) -> LinkStats {
+        let mut stats = self.inner.link_stats();
+        stats.retransmits += self.stats.retransmits;
+        stats.acks += self.stats.acks_sent;
+        stats
+    }
+
     fn pump(&mut self) -> NetResult<()> {
         self.inner.pump()?;
         self.reap_inner_handles()?;
@@ -334,6 +341,10 @@ impl<D: Driver> Driver for SelectiveDriver<D> {
     fn set_rx_backpressure(&mut self, paused: bool) {
         self.inner.set_rx_backpressure(paused);
     }
+
+    fn threaded_progress_safe(&self) -> bool {
+        self.inner.threaded_progress_safe()
+    }
 }
 
 #[cfg(test)]
@@ -411,6 +422,41 @@ mod tests {
             retx < 3 * lost + 6,
             "selective repeat resent {retx} for {lost} losses"
         );
+    }
+
+    /// The engine's snapshot reads the decorator's own counters through
+    /// `link_stats`, added on top of the wrapped driver's.
+    #[test]
+    fn link_stats_report_acks_and_retransmits() {
+        let mut fabric = mem_fabric(2);
+        let b_raw = fabric.pop().expect("pair");
+        let a_raw = fabric.pop().expect("pair");
+        let (ta, clk_a) = test_clock();
+        let (_, clk_b) = test_clock();
+        let mut a =
+            SelectiveDriver::new(LossyDriver::new(a_raw, 0.3, 0xD00D), clk_a, None, 500_000);
+        let mut b = SelectiveDriver::new(b_raw, clk_b, None, 500_000);
+        let n = 20u8;
+        for i in 0..n {
+            a.post_send(NodeId(1), &[&[i; 16]]).unwrap();
+        }
+        let mut got = 0;
+        for _ in 0..100_000 {
+            ta.fetch_add(100_000, Ordering::Relaxed);
+            a.pump().unwrap();
+            b.pump().unwrap();
+            while b.poll_recv().unwrap().is_some() {
+                got += 1;
+            }
+            if got == n {
+                break;
+            }
+        }
+        assert_eq!(got, n, "every frame delivered");
+        assert!(b.stats().acks_sent >= u64::from(n));
+        assert_eq!(b.link_stats().acks, b.stats().acks_sent);
+        assert!(a.stats().retransmits > 0, "seeded loss must force resends");
+        assert_eq!(a.link_stats().retransmits, a.stats().retransmits);
     }
 
     #[test]

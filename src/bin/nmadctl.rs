@@ -226,6 +226,11 @@ fn cmd_trace(flags: &Flags) {
     }
 }
 
+/// Retransmission timeout of both reliability protocols, as in
+/// `bench --bin lossy`: about twice the GigE model's round trip for a
+/// 64,000 B frame.
+const LOSSY_RTO_NS: u64 = 1_500_000;
+
 fn cmd_lossy(flags: &Flags) {
     use newmadeleine::net::{Driver, LossyDriver, ReliableDriver, SelectiveDriver, SimCpuMeter};
     let size = flags.size("size", 4096);
@@ -242,8 +247,8 @@ fn cmd_lossy(flags: &Flags) {
         let wake: Box<dyn Fn(u64) + Send> =
             Box::new(move |t| ww.lock().schedule_wakeup(SimTime::from_ns(t)));
         let driver: Box<dyn Driver> = match proto {
-            "sr" => Box::new(SelectiveDriver::new(lossy, now, Some(wake), 2_000_000)),
-            "gbn" => Box::new(ReliableDriver::new(lossy, now, Some(wake), 6_000_000)),
+            "sr" => Box::new(SelectiveDriver::new(lossy, now, Some(wake), LOSSY_RTO_NS)),
+            "gbn" => Box::new(ReliableDriver::new(lossy, now, Some(wake), LOSSY_RTO_NS)),
             _ => usage(),
         };
         let meter = Box::new(SimCpuMeter::new(world.clone(), NodeId(node)));

@@ -1,20 +1,22 @@
-//! Differential property: the sharded progression runtime is
-//! observationally equivalent to the single-engine runtime.
+//! Differential property: split engines pumped inline are
+//! observationally equivalent to one unsplit engine.
 //!
-//! For an arbitrary message schedule, running it through a sharded
-//! [`ThreadedEngine`] (2–4 shards over as many mem rails) and through
-//! the classic single-shard runtime must produce:
+//! For an arbitrary message schedule over 2–4 mem rails per node,
+//! running it through `rails` split engines per node
+//! ([`NmadEngine::split_for_shards`], flows routed by
+//! [`ShardPolicy::route`]) and through one unsplit engine over the same
+//! rails, both pumped in a loop on the test thread, must produce:
 //!
 //! * **byte identity** — every flow delivers the same payload bytes;
 //! * **per-flow ordering** — payloads arrive in submission order
 //!   within each (source, tag) flow;
-//! * **conservation** — both runtimes account exactly one submitted
-//!   request per message, one posted receive per message, zero
-//!   duplicate completions and zero dropped duplicates.
+//! * **conservation** — both account exactly one submitted request per
+//!   message, one posted receive per message and zero dropped
+//!   duplicates.
 //!
 //! The schedule mixes eager-sized payloads with ones crossing the mem
-//! driver's 64 KiB rendezvous threshold, so the RTS/CTS path crosses
-//! shards too.
+//! driver's 64 KiB rendezvous threshold, so the RTS/CTS path runs
+//! across split engines too.
 //!
 //! The equivalence rests on one contract: both ends of a link run the
 //! same shard count. The last test pins what happens when they do not.
@@ -23,7 +25,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use newmadeleine::core::prelude::*;
-use newmadeleine::core::{ShardPolicy, ThreadedEngine};
+use newmadeleine::core::{EngineMetrics, ShardPolicy};
 use newmadeleine::net::mem::mem_fabric;
 use newmadeleine::net::{Driver, NetError, NullMeter};
 use newmadeleine::sim::NodeId;
@@ -60,94 +62,99 @@ struct Observed {
     submitted: u64,
     recvs_posted: u64,
     duplicates_dropped: u64,
-    completion_duplicates: u64,
 }
 
-/// Runs the schedule over `shards` progression shards (and as many mem
-/// rails) and returns everything the application can observe.
-fn run(shards: usize, msgs: &[(u32, usize)]) -> Observed {
-    let mut a_rails: Vec<Box<dyn newmadeleine::net::Driver>> = Vec::new();
-    let mut b_rails: Vec<Box<dyn newmadeleine::net::Driver>> = Vec::new();
-    for _ in 0..shards {
+/// Runs the schedule over `rails` mem rails per node, through one
+/// unsplit engine per node or, with `split`, through `rails` split
+/// engines per node, and returns everything the application can
+/// observe.
+fn run(rails: usize, split: bool, msgs: &[(u32, usize)]) -> Observed {
+    let mut a_rails: Vec<Box<dyn Driver>> = Vec::new();
+    let mut b_rails: Vec<Box<dyn Driver>> = Vec::new();
+    for _ in 0..rails {
         let mut fabric = mem_fabric(2);
-        let b = fabric.pop().unwrap();
-        let a = fabric.pop().unwrap();
-        a_rails.push(Box::new(a));
-        b_rails.push(Box::new(b));
+        b_rails.push(Box::new(fabric.pop().unwrap()));
+        a_rails.push(Box::new(fabric.pop().unwrap()));
     }
-    let launch = |drivers: Vec<Box<dyn newmadeleine::net::Driver>>| {
-        ThreadedEngine::launch(
-            NmadEngine::new(
-                drivers,
-                Box::new(NullMeter),
-                Box::new(StratAggreg),
-                EngineCosts::zero(),
-            ),
-            EngineConfig::sharded(shards),
-        )
+    let shards = if split { rails } else { 1 };
+    let build = |drivers: Vec<Box<dyn Driver>>| {
+        let engine = NmadEngine::new(
+            drivers,
+            Box::new(NullMeter),
+            Box::new(StratAggreg),
+            EngineCosts::zero(),
+        );
+        if split {
+            engine.split_for_shards(shards, ShardPolicy::HashByDest)
+        } else {
+            vec![engine]
+        }
     };
-    let (a, b) = (launch(a_rails), launch(b_rails));
-    let (ah, bh) = (a.handle(), b.handle());
-    let t0 = Instant::now();
+    let (mut senders, mut sinks) = (build(a_rails), build(b_rails));
+    let shard_of = |tag: u32| ShardPolicy::HashByDest.route(shards, NodeId(0), NodeId(1), Tag(tag));
 
     // Receives post in schedule order per flow: recv j of flow `tag`
     // matches send j of that flow (per-flow FIFO is part of the
     // property).
     let recvs: Vec<_> = msgs
         .iter()
-        .map(|&(tag, _)| bh.post_recv(NodeId(0), Tag(tag), 80_000))
+        .map(|&(tag, _)| {
+            let s = shard_of(tag);
+            (s, sinks[s].post_recv(NodeId(0), Tag(tag), 80_000))
+        })
         .collect();
     let sends: Vec<_> = msgs
         .iter()
         .enumerate()
-        .map(|(idx, &(tag, len))| ah.isend(NodeId(1), Tag(tag), payload(tag, idx, len)))
+        .map(|(idx, &(tag, len))| {
+            let s = shard_of(tag);
+            let req = senders[s].isend(NodeId(1), Tag(tag), payload(tag, idx, len));
+            (s, req)
+        })
         .collect();
-    while !sends.iter().all(|&s| ah.is_send_done(s)) {
-        assert!(t0.elapsed() < WATCHDOG, "sends never completed");
-        std::thread::yield_now();
+    let t0 = Instant::now();
+    while !(sends.iter().all(|&(s, r)| senders[s].is_send_done(r))
+        && recvs.iter().all(|&(s, r)| sinks[s].is_recv_done(r)))
+    {
+        assert!(t0.elapsed() < WATCHDOG, "the schedule never completed");
+        for engine in senders.iter_mut().chain(sinks.iter_mut()) {
+            engine
+                .try_progress()
+                .expect("equal shard counts never fail");
+        }
     }
     let mut flows: BTreeMap<u32, Vec<Vec<u8>>> = BTreeMap::new();
-    for (&(tag, _), req) in msgs.iter().zip(recvs) {
-        let done = loop {
-            if let Some(done) = bh.try_take_recv(req) {
-                break done;
-            }
-            assert!(t0.elapsed() < WATCHDOG, "recv never completed");
-            std::thread::yield_now();
-        };
+    for (&(tag, _), (s, req)) in msgs.iter().zip(recvs) {
+        let done = sinks[s].try_take_recv(req).expect("completed");
         assert_eq!(done.src, NodeId(0));
         flows.entry(tag).or_default().push(done.data.to_vec());
     }
-    let snap_a = ah.metrics();
-    let snap_b = bh.metrics();
-    let observed = Observed {
-        flows,
-        submitted: snap_a.engine.requests_submitted,
-        recvs_posted: snap_b.engine.recvs_posted,
-        duplicates_dropped: snap_b.engine.duplicates_dropped,
-        completion_duplicates: ah.completion_duplicates() + bh.completion_duplicates(),
+    let sum = |engines: &[NmadEngine], counter: fn(&EngineMetrics) -> u64| {
+        engines.iter().map(|e| counter(e.engine_metrics())).sum()
     };
-    assert!(a.shutdown().tx_quiescent());
-    assert!(b.shutdown().tx_quiescent());
-    observed
+    assert!(senders.iter().all(NmadEngine::tx_quiescent));
+    Observed {
+        flows,
+        submitted: sum(&senders, |m| m.requests_submitted),
+        recvs_posted: sum(&sinks, |m| m.recvs_posted),
+        duplicates_dropped: sum(&sinks, |m| m.duplicates_dropped),
+    }
 }
 
 proptest! {
-    /// Sharded (2–4 shards) ≡ single-engine, for arbitrary schedules:
-    /// identical per-flow byte sequences, identical conservation
-    /// totals, zero duplicates on either side.
+    /// Split (2–4 engines per node) ≡ unsplit, for arbitrary schedules:
+    /// identical per-flow byte sequences and conservation totals.
     #[test]
     fn sharded_runtime_is_observationally_equal_to_single_engine(
-        shards in 2usize..5,
+        rails in 2usize..5,
         msgs in proptest::collection::vec((0u32..6, 1usize..2_000), 1..25),
     ) {
-        let single = run(1, &msgs);
-        let sharded = run(shards, &msgs);
+        let single = run(rails, false, &msgs);
+        let sharded = run(rails, true, &msgs);
         prop_assert_eq!(&single, &sharded);
         prop_assert_eq!(single.submitted, msgs.len() as u64);
         prop_assert_eq!(single.recvs_posted, msgs.len() as u64);
         prop_assert_eq!(single.duplicates_dropped, 0);
-        prop_assert_eq!(single.completion_duplicates, 0);
         // And the payloads really are what was submitted, in order.
         let mut expect: BTreeMap<u32, Vec<Vec<u8>>> = BTreeMap::new();
         for (idx, &(tag, len)) in msgs.iter().enumerate() {
@@ -157,16 +164,17 @@ proptest! {
     }
 
     /// Same property with payloads crossing the 64 KiB rendezvous
-    /// threshold, so the RTS/CTS handshake runs under sharding too.
+    /// threshold, so the RTS/CTS handshake runs across split engines
+    /// too.
     #[test]
     fn sharded_rendezvous_matches_single_engine(
-        shards in 2usize..4,
+        rails in 2usize..4,
         msgs in proptest::collection::vec((0u32..3, 60_000usize..75_000), 1..5),
     ) {
-        let single = run(1, &msgs);
-        let sharded = run(shards, &msgs);
+        let single = run(rails, false, &msgs);
+        let sharded = run(rails, true, &msgs);
         prop_assert_eq!(&single, &sharded);
-        prop_assert_eq!(single.completion_duplicates, 0);
+        prop_assert_eq!(single.submitted, msgs.len() as u64);
     }
 }
 

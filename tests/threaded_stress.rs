@@ -3,7 +3,8 @@
 //!
 //! N application threads share one node's [`ThreadedHandle`] and blast
 //! seeded traffic at M peer engines (each on its own progression
-//! thread) over the mem transport. The test then proves the submission
+//! thread) over the mem transport, with one, two or four rails per
+//! node behind each node's one progression thread. The test then proves the submission
 //! ring / completion board pipeline lost nothing, duplicated nothing,
 //! and delivered every payload byte-identical and per-flow in order.
 //! The payload schedule is a pure function of `SEED`, so a failure
@@ -74,17 +75,16 @@ fn wait_recv(h: &ThreadedHandle, req: RecvReqId, t0: Instant) -> RecvDone {
     }
 }
 
-/// Builds the (sender, peers) engines over `shards` independent mem
+/// Builds the (sender, peers) engines over `rails` independent mem
 /// rails per node (one fully connected fabric per rail) and launches
-/// each on `shards` progression shards. With `shards == 1` this is
-/// exactly the original single-engine runtime.
-fn launch_cluster(shards: usize) -> (ThreadedEngine, Vec<ThreadedEngine>) {
+/// each on its own progression thread.
+fn launch_cluster(rails: usize) -> (ThreadedEngine, Vec<ThreadedEngine>) {
     let nodes = (PEERS + 1) as usize;
-    let mut rails: Vec<Vec<Box<dyn newmadeleine::net::Driver>>> =
+    let mut drivers: Vec<Vec<Box<dyn newmadeleine::net::Driver>>> =
         (0..nodes).map(|_| Vec::new()).collect();
-    for _ in 0..shards {
+    for _ in 0..rails {
         for (node, d) in mem_fabric(nodes).into_iter().enumerate() {
-            rails[node].push(Box::new(d));
+            drivers[node].push(Box::new(d));
         }
     }
     let launch = |drivers: Vec<Box<dyn newmadeleine::net::Driver>>| {
@@ -95,17 +95,16 @@ fn launch_cluster(shards: usize) -> (ThreadedEngine, Vec<ThreadedEngine>) {
                 Box::new(StratAggreg),
                 EngineCosts::zero(),
             ),
-            EngineConfig::sharded(shards),
+            EngineConfig::threaded(),
         )
     };
-    let mut engines: Vec<ThreadedEngine> = rails.into_iter().map(launch).collect();
+    let mut engines: Vec<ThreadedEngine> = drivers.into_iter().map(launch).collect();
     let node0 = engines.remove(0);
     (node0, engines)
 }
 
-fn stress_loses_nothing_and_duplicates_nothing(shards: usize) {
-    let (node0, peers) = launch_cluster(shards);
-    assert_eq!(node0.shards(), shards, "no clamp expected: rails == shards");
+fn stress_loses_nothing_and_duplicates_nothing(rails: usize) {
+    let (node0, peers) = launch_cluster(rails);
     let peer_handles: Vec<ThreadedHandle> = peers.iter().map(|p| p.handle()).collect();
     let t0 = Instant::now();
 
@@ -193,11 +192,11 @@ fn stress_loses_nothing_and_duplicates_nothing(shards: usize) {
         assert_eq!(snap.engine.duplicates_dropped, 0);
     }
 
-    // Clean teardown returns every engine — re-merged from its shards
-    // — with nothing pending.
+    // Clean teardown returns every engine, with every rail and nothing
+    // pending.
     let e0 = node0.shutdown();
     assert!(e0.tx_quiescent(), "sender retired with work pending");
-    assert_eq!(e0.rail_count(), shards, "merge restores every rail");
+    assert_eq!(e0.rail_count(), rails, "shutdown returns every rail");
     for p in peers {
         let e = p.shutdown();
         assert!(e.tx_quiescent());
@@ -210,12 +209,12 @@ fn threaded_stress_loses_nothing_and_duplicates_nothing() {
 }
 
 #[test]
-fn threaded_stress_two_shards_loses_nothing_and_duplicates_nothing() {
+fn threaded_stress_two_rails_loses_nothing_and_duplicates_nothing() {
     stress_loses_nothing_and_duplicates_nothing(2);
 }
 
 #[test]
-fn threaded_stress_four_shards_loses_nothing_and_duplicates_nothing() {
+fn threaded_stress_four_rails_loses_nothing_and_duplicates_nothing() {
     stress_loses_nothing_and_duplicates_nothing(4);
 }
 
