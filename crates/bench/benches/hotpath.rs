@@ -4,7 +4,9 @@
 //! the submission ring's slot traffic of `nmad_core::ring`), and the
 //! idle progression pump (`hotpath/idle_progress/{sim,mem}`): a
 //! `try_progress` that finds nothing to do, the engine's most frequent
-//! operation. The idle rows time [`IDLE_PUMPS`] pumps per iteration,
+//! operation. Over sim drivers a quiet engine answers it from the
+//! readiness slots; mem drivers give no hint, so that row times full
+//! pumps. The idle rows time [`IDLE_PUMPS`] pumps per iteration,
 //! so their ns/iter over 1000 is the cost of one pump. The perf-gate
 //! CI job runs these with `--quick` and archives the text report next
 //! to the `BENCH_*.json` deltas; the rows are context, not a gate.

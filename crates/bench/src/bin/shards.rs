@@ -159,7 +159,14 @@ fn run_shards(n: usize, msgs_per_flow: usize, size: usize) -> ShardRow {
     }
 
     let virtual_us = world.lock().now().saturating_since(t0).as_us_f64();
-    let total_bytes = (FLOWS * msgs_per_flow * size) as u64;
+    let msgs = FLOWS * msgs_per_flow;
+    let total_bytes = (msgs * size) as u64;
+    let pumps: u64 = senders
+        .iter()
+        .chain(&sinks)
+        .map(|e| e.engine_metrics().pumps)
+        .sum();
+    let advances = world.lock().stats().advances;
     ShardRow {
         shards: n,
         rails: n,
@@ -167,5 +174,7 @@ fn run_shards(n: usize, msgs_per_flow: usize, size: usize) -> ShardRow {
         total_bytes,
         virtual_us,
         throughput_mbs: total_bytes as f64 / virtual_us.max(f64::EPSILON),
+        pumps_per_msg: pumps as f64 / msgs as f64,
+        advances_per_msg: advances as f64 / msgs as f64,
     }
 }

@@ -92,6 +92,8 @@ fn main() {
                     p999_us: us(h.value_at_quantile(0.999)),
                     p9999_us: us(h.value_at_quantile(0.9999)),
                     mean_us: h.mean() / 1_000.0,
+                    pumps_per_msg: run.pumps_per_msg,
+                    advances_per_msg: run.advances_per_msg,
                 };
                 p999[si][ci] = row.p999_us;
                 table.row(vec![
@@ -143,10 +145,12 @@ fn us(ns: u64) -> f64 {
 }
 
 /// One strategy's completion-latency histograms, one per tenant class,
-/// plus aggregate goodput over the run.
+/// plus aggregate goodput and simulator cost over the run.
 struct TailRun {
     hists: Vec<LogHistogram>,
     throughput_mbs: f64,
+    pumps_per_msg: f64,
+    advances_per_msg: f64,
 }
 
 /// Builds one node's engine over all its simulated rails.
@@ -256,8 +260,17 @@ fn run_tail(kind: StrategyKind, spec: &TailSpec, faults: bool) -> TailRun {
     .unwrap_or_else(|e| panic!("tail co-simulation under {}: {e}", kind.name()));
 
     let elapsed = last_done.saturating_since(t0);
+    let msgs = items.len() as f64;
+    let pumps: u64 = senders
+        .iter()
+        .chain(&sinks)
+        .map(|e| e.engine_metrics().pumps)
+        .sum();
+    let advances = world.lock().stats().advances;
     TailRun {
         hists,
         throughput_mbs: total_bytes as f64 / elapsed.as_us_f64().max(f64::EPSILON),
+        pumps_per_msg: pumps as f64 / msgs,
+        advances_per_msg: advances as f64 / msgs,
     }
 }

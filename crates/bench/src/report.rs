@@ -421,6 +421,11 @@ pub struct ShardRow {
     pub virtual_us: f64,
     /// Aggregate throughput, MB/s of virtual time.
     pub throughput_mbs: f64,
+    /// Full progress pumps (`EngineMetrics::pumps`) of every engine,
+    /// per message.
+    pub pumps_per_msg: f64,
+    /// Clock advances (`WorldStats::advances`) per message.
+    pub advances_per_msg: f64,
 }
 
 /// Accumulator for [`ShardRow`]s plus named scaling ratios derived from
@@ -472,8 +477,16 @@ impl ShardReport {
             out.push_str(&format!(
                 "{{\"shards\":{},\"rails\":{},\"flows\":{},\
                  \"total_bytes\":{},\"virtual_us\":{:.2},\
-                 \"throughput_mbs\":{:.2}}}",
-                r.shards, r.rails, r.flows, r.total_bytes, r.virtual_us, r.throughput_mbs,
+                 \"throughput_mbs\":{:.2},\"pumps_per_msg\":{:.3},\
+                 \"advances_per_msg\":{:.3}}}",
+                r.shards,
+                r.rails,
+                r.flows,
+                r.total_bytes,
+                r.virtual_us,
+                r.throughput_mbs,
+                r.pumps_per_msg,
+                r.advances_per_msg,
             ));
         }
         out.push_str("],\"scaling\":{");
@@ -648,6 +661,12 @@ pub struct TailRow {
     pub p9999_us: f64,
     /// Mean completion latency, µs.
     pub mean_us: f64,
+    /// Full progress pumps (`EngineMetrics::pumps`) of every engine
+    /// in the run, per message of the run (all classes).
+    pub pumps_per_msg: f64,
+    /// Clock advances (`WorldStats::advances`) of the run, per
+    /// message of the run.
+    pub advances_per_msg: f64,
 }
 
 /// Accumulator for [`TailRow`]s plus per-strategy aggregate throughput
@@ -710,7 +729,8 @@ impl TailReport {
             out.push_str(&format!(
                 "{{\"scenario\":\"{}\",\"strategy\":\"{}\",\"class\":\"{}\",\
                  \"count\":{},\"p50_us\":{:.3},\"p90_us\":{:.3},\"p99_us\":{:.3},\
-                 \"p999_us\":{:.3},\"p9999_us\":{:.3},\"mean_us\":{:.3}}}",
+                 \"p999_us\":{:.3},\"p9999_us\":{:.3},\"mean_us\":{:.3},\
+                 \"pumps_per_msg\":{:.3},\"advances_per_msg\":{:.3}}}",
                 escape(&r.scenario),
                 escape(&r.strategy),
                 escape(&r.class),
@@ -721,6 +741,8 @@ impl TailReport {
                 r.p999_us,
                 r.p9999_us,
                 r.mean_us,
+                r.pumps_per_msg,
+                r.advances_per_msg,
             ));
         }
         out.push_str("],\"throughput\":{");
@@ -809,11 +831,15 @@ mod tests {
             total_bytes: 16 << 20,
             virtual_us: 4200.5,
             throughput_mbs: 3993.81,
+            pumps_per_msg: 4.25,
+            advances_per_msg: 2.5,
         });
         report.record_scaling("scale_4x_over_1x", 3.8);
         let json = report.to_json();
         assert!(json.contains("\"shards\":4"));
         assert!(json.contains("\"throughput_mbs\":3993.81"), "{json}");
+        assert!(json.contains("\"pumps_per_msg\":4.250"), "{json}");
+        assert!(json.contains("\"advances_per_msg\":2.500"), "{json}");
         assert!(json.contains("\"scale_4x_over_1x\":3.800"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -896,6 +922,8 @@ mod tests {
             p999_us: 18.75,
             p9999_us: 31.5,
             mean_us: 4.0,
+            pumps_per_msg: 4.875,
+            advances_per_msg: 2.25,
         });
         report.record_throughput("mixed/lanes", 812.5);
         report.record_ratio("mixed/urgent-small/aggreg_p999_over_lanes", 4.5);
@@ -905,6 +933,8 @@ mod tests {
         assert!(json.contains("\"class\":\"urgent-small\""));
         assert!(json.contains("\"p999_us\":18.750"), "{json}");
         assert!(json.contains("\"p9999_us\":31.500"), "{json}");
+        assert!(json.contains("\"pumps_per_msg\":4.875"), "{json}");
+        assert!(json.contains("\"advances_per_msg\":2.250"), "{json}");
         assert!(json.contains("\"mixed/lanes\":812.50"), "{json}");
         assert!(
             json.contains("\"mixed/urgent-small/aggreg_p999_over_lanes\":4.500"),

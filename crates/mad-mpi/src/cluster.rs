@@ -152,17 +152,25 @@ pub fn sim_cluster_multirail(
 /// time whenever all ranks are quiescent. Returns the completion
 /// instant. Panics (with the simulator's pending-state dump) on
 /// deadlock.
+///
+/// `done` may submit work itself (a collective's next step): after a
+/// `done` that returns false, every rank is pumped once more at the
+/// same instant, and the step reports whether either pass moved. A
+/// submission charges CPU time but records no wakeup, so without that
+/// second pass the clock could jump past the work or find nothing left
+/// to wait for.
 pub fn pump_cluster(
     world: &SharedWorld,
     procs: &mut [MpiProc],
     mut done: impl FnMut(&mut [MpiProc]) -> bool,
 ) -> SimTime {
+    let pass = |procs: &mut [MpiProc]| procs.iter_mut().fold(false, |m, p| p.progress() | m);
     run_until(world, || {
-        let moved = procs.iter_mut().fold(false, |m, p| p.progress() | m);
+        let moved = pass(procs);
         if done(procs) {
             ControlFlow::Break(())
         } else {
-            ControlFlow::Continue(moved)
+            ControlFlow::Continue(pass(procs) | moved)
         }
     })
     .unwrap_or_else(|e| panic!("MPI co-simulation: {e}"))

@@ -26,7 +26,7 @@ use crate::strategy::{FramePlan, NicView, PlanEntry, Strategy};
 use crate::window::{CtrlMsg, RdvJob, Window};
 use crate::wire::{parse_frame, Entry, FrameEncoder};
 use nmad_net::{CpuMeter, Driver, NetResult, SendHandle, StrategyDecision};
-use nmad_sim::{FxHashMap, FxHashSet, NodeId, SoftwareCosts};
+use nmad_sim::{FxHashMap, FxHashSet, NodeId, RailReadiness, SoftwareCosts};
 
 /// Per-operation software costs the engine charges to its CPU meter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -291,6 +291,10 @@ impl FramePool {
 /// A posted frame whose transmit has not completed.
 struct InflightFrame {
     handle: SendHandle,
+    /// Instant (ns) the send completes: the rail's transmit-free
+    /// instant read right after the post. `u64::MAX` on a rail whose
+    /// driver gives no readiness hint, where nothing reads it.
+    tx_end: u64,
     dones: Vec<TxDone>,
     /// The plan the frame was built from, so a rail fault can hand
     /// the stranded work back to the window (the receiver's matching
@@ -304,10 +308,47 @@ struct InflightFrame {
 
 struct NicState {
     driver: Box<dyn Driver>,
+    /// The driver's readiness slot ([`Driver::readiness`]), taken when
+    /// the engine is built or split and when the rail gets a fault
+    /// plan; `None` when the driver gives no hint.
+    ready: Option<RailReadiness>,
     inflight: VecDeque<InflightFrame>,
     /// Set when the driver refused a send (transport/NIC failure);
     /// the refill loop stops offering this NIC work.
     dead: bool,
+    /// Kept by a pump that moved nothing (see `NmadEngine::quiet`):
+    /// the front in-flight send's transmit end, `u64::MAX` with none.
+    quiet_tx_end: u64,
+    /// Kept with it: whether the window held work for this rail.
+    quiet_work: bool,
+}
+
+impl NicState {
+    fn new(driver: Box<dyn Driver>) -> Self {
+        NicState {
+            ready: driver.readiness(),
+            driver,
+            inflight: VecDeque::new(),
+            dead: false,
+            quiet_tx_end: u64::MAX,
+            quiet_work: false,
+        }
+    }
+
+    /// The quiet check of one rail: true while none of the instants
+    /// that would change its driver's answers has been reached.
+    fn quiet(&self) -> bool {
+        if self.dead {
+            return true;
+        }
+        let Some(ready) = &self.ready else {
+            return false;
+        };
+        let now = ready.now_ns();
+        self.quiet_tx_end > now
+            && ready.rx_ready_at() > now
+            && !(self.quiet_work && ready.tx_free_at() <= now)
+    }
 }
 
 /// The engine. See the module documentation.
@@ -344,6 +385,17 @@ pub struct NmadEngine {
     rx_saturation_cap: usize,
     /// Whether the backpressure signal is currently raised.
     rx_backpressured: bool,
+    /// Whether every rail's driver gives a readiness hint.
+    hinted: bool,
+    /// Set by a pump that moved nothing over hinted rails; cleared by
+    /// the next full pump and by every other `&mut self` call. While it
+    /// holds and no live rail's kept instant has been reached, a full
+    /// pump would get the same answers from every driver and move
+    /// nothing, so [`try_progress`](Self::try_progress) returns at once.
+    /// The inbox head is re-read rather than kept because it is the one
+    /// of these instants another engine moves: a peer's post can land
+    /// ahead of it.
+    quiet: bool,
 }
 
 /// Default unexpected-queue depth that raises receive-side
@@ -370,16 +422,11 @@ impl NmadEngine {
         let caps: Vec<_> = drivers.iter().map(|d| d.caps().clone()).collect();
         strategy.init(&caps);
         let window = Window::new(drivers.len());
+        let nics: Vec<NicState> = drivers.into_iter().map(NicState::new).collect();
         NmadEngine {
             node,
-            nics: drivers
-                .into_iter()
-                .map(|driver| NicState {
-                    driver,
-                    inflight: VecDeque::new(),
-                    dead: false,
-                })
-                .collect(),
+            hinted: nics.iter().all(|n| n.ready.is_some()),
+            nics,
             meter,
             strategy,
             window,
@@ -399,6 +446,7 @@ impl NmadEngine {
             route: None,
             rx_saturation_cap: DEFAULT_RX_SATURATION_CAP,
             rx_backpressured: false,
+            quiet: false,
         }
     }
 
@@ -555,6 +603,7 @@ impl NmadEngine {
         rail_hint: Option<usize>,
     ) {
         assert_ne!(dst, self.node, "self-sends are not routed through NICs"); // PANIC-OK: API misuse guard at submit; not data-dependent
+        self.quiet = false;
         self.meter.charge_ns(self.costs.per_request_ns);
         self.metrics.requests_submitted += 1;
         if parts.len() == 0 {
@@ -594,6 +643,7 @@ impl NmadEngine {
     /// [`post_recv`](Self::post_recv) under a caller-allocated request
     /// id (the threaded front-end's submission path).
     pub fn post_recv_as(&mut self, req: RecvReqId, src: NodeId, tag: Tag, max: usize) {
+        self.quiet = false;
         self.meter.charge_ns(self.costs.per_recv_ns);
         self.metrics.recvs_posted += 1;
         let (_seq, effects) = self.matching.post_recv(src, tag, max, req);
@@ -612,6 +662,7 @@ impl NmadEngine {
 
     /// Takes a completed receive's payload.
     pub fn try_take_recv(&mut self, req: RecvReqId) -> Option<RecvDone> {
+        self.quiet = false;
         self.matching.try_take_done(req)
     }
 
@@ -852,8 +903,16 @@ impl NmadEngine {
             res
         };
         bufs.push(iov.into_meta());
-        let handle = match posted {
-            Ok(handle) => handle,
+        let (handle, tx_end) = match posted {
+            // The post just published this frame's transmit end as the
+            // rail's transmit-free instant.
+            Ok(handle) => (
+                handle,
+                self.nics[nic_idx]
+                    .ready
+                    .as_ref()
+                    .map_or(u64::MAX, RailReadiness::tx_free_at),
+            ),
             Err(nmad_net::NetError::Closed) => {
                 // The NIC died under us: hand everything back to the
                 // window (failover — another rail will pick it up).
@@ -926,6 +985,7 @@ impl NmadEngine {
         });
         self.nics[nic_idx].inflight.push_back(InflightFrame {
             handle,
+            tx_end,
             dones,
             plan,
             bufs,
@@ -967,7 +1027,12 @@ impl NmadEngine {
     /// Installs a deterministic fault plan on rail `nic_idx`'s driver;
     /// returns whether the driver consumed it (real transports refuse).
     pub fn install_faults(&mut self, nic_idx: usize, plan: nmad_net::FaultPlan) -> bool {
-        self.nics[nic_idx].driver.install_faults(plan)
+        self.quiet = false;
+        let nic = &mut self.nics[nic_idx];
+        let consumed = nic.driver.install_faults(plan);
+        nic.ready = nic.driver.readiness();
+        self.hinted = self.nics.iter().all(|n| n.ready.is_some());
+        consumed
     }
 
     /// Fault-injection counters reported by rail `nic_idx`'s driver.
@@ -977,8 +1042,22 @@ impl NmadEngine {
 
     /// One pump: drain receives, harvest transmit completions, refill
     /// idle NICs. Returns whether anything moved.
+    ///
+    /// After a pump that moved nothing over drivers that give a
+    /// readiness hint, the next pumps first re-read each live rail's
+    /// clock and inbox head, and its transmit-free instant when the
+    /// window holds work for it; they return `Ok(false)` at once while
+    /// none of those instants, nor the front in-flight send's transmit
+    /// end, has been reached.
     // HOT-PATH: progression pump root
     pub fn try_progress(&mut self) -> NetResult<bool> {
+        if self.quiet {
+            if self.nics.iter().all(NicState::quiet) {
+                return Ok(false);
+            }
+            self.quiet = false;
+        }
+        self.metrics.pumps += 1;
         let mut any = false;
 
         // Receive-side backpressure: when the matching layer's
@@ -1072,7 +1151,21 @@ impl NmadEngine {
                 any = true;
             }
         }
+        if !any && self.hinted {
+            self.keep_quiet();
+        }
         Ok(any)
+    }
+
+    /// Keeps, per rail, what the quiet check compares against: the
+    /// front in-flight send's transmit end and whether the window holds
+    /// work for the rail.
+    fn keep_quiet(&mut self) {
+        for (i, nic) in self.nics.iter_mut().enumerate() {
+            nic.quiet_tx_end = nic.inflight.front().map_or(u64::MAX, |f| f.tx_end);
+            nic.quiet_work = !self.window.is_empty_for(i);
+        }
+        self.quiet = true;
     }
 
     /// [`try_progress`](Self::try_progress), panicking on transport
@@ -1108,6 +1201,7 @@ impl NmadEngine {
     /// completion board after each pump; inline users keep using
     /// [`is_send_done`](Self::is_send_done).
     pub fn drain_done_sends(&mut self) -> Vec<SendReqId> {
+        self.quiet = false;
         if self.done_sends.is_empty() {
             return Vec::new();
         }
@@ -1118,6 +1212,7 @@ impl NmadEngine {
     /// included). The threaded harvest path, mirroring
     /// [`drain_done_sends`](Self::drain_done_sends).
     pub fn drain_done_recvs(&mut self) -> Vec<(RecvReqId, RecvDone)> {
+        self.quiet = false;
         self.matching.drain_done()
     }
 
@@ -1165,6 +1260,7 @@ impl NmadEngine {
     }
 
     pub(crate) fn set_req_watermark(&mut self, next: u64) {
+        self.quiet = false;
         debug_assert!(next >= self.next_req, "request ids must never reuse");
         self.next_req = next;
     }
@@ -1176,7 +1272,13 @@ impl NmadEngine {
     /// side must be quiescent — nothing in flight crosses the split.
     ///
     /// Shard 0 inherits the CPU meter, accumulated statistics and
-    /// undrained completions; the other shards start fresh.
+    /// undrained completions; the other shards start fresh, with a
+    /// [`NullMeter`](nmad_net::NullMeter). Over the simulator, shards
+    /// 1.. therefore charge nothing through the meter: none of their
+    /// [`EngineCosts`] and none of their staging or receive copies reach
+    /// the node's CPU account, only their drivers' gather, post and
+    /// receive overheads. Every rail's driver keeps its readiness
+    /// hint.
     pub fn split_for_shards(self, shards: usize, policy: ShardPolicy) -> Vec<NmadEngine> {
         assert!(shards > 0, "cannot split into zero shards");
         assert!(
@@ -1227,6 +1329,7 @@ impl NmadEngine {
             strategy.init(&caps);
             parts.push(NmadEngine {
                 node,
+                hinted: nics.iter().all(|n| n.ready.is_some()),
                 nics,
                 meter: meter
                     .take()
@@ -1253,6 +1356,7 @@ impl NmadEngine {
                 }),
                 rx_saturation_cap: self.rx_saturation_cap,
                 rx_backpressured: self.rx_backpressured,
+                quiet: false,
             });
         }
         parts
@@ -1527,6 +1631,269 @@ mod tests {
             assert!(!b.progress(), "nothing left to move");
         }
         assert_eq!(*calls.lock(), 0);
+    }
+
+    /// Pumps `e` until one reports nothing moved; returns the engine's
+    /// full-pump count afterwards.
+    fn settle(e: &mut NmadEngine) -> u64 {
+        e.progress_until_idle();
+        e.metrics().engine.pumps
+    }
+
+    /// Engines whose drivers give no readiness hint — a decorator over
+    /// a simulated rail, or a simulated rail with a fault plan — run a
+    /// full pump on every call, idle or not.
+    #[test]
+    fn unhinted_simulated_rails_never_skip_a_pump() {
+        type Wrap = fn(&SharedWorld, SimDriver) -> Box<dyn Driver>;
+        let sim_pair = |wrap: Wrap| {
+            let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
+            let mut pair = (0..2).map(|node| {
+                let d = SimDriver::new(world.clone(), NodeId(node), nmad_sim::RailId(0));
+                let mut e = NmadEngine::new(
+                    vec![wrap(&world, d)],
+                    Box::new(nmad_net::SimCpuMeter::new(world.clone(), NodeId(node))),
+                    Box::new(StratAggreg),
+                    EngineCosts::from_software(&nmad_sim::host::costs_madmpi()),
+                );
+                e.install_faults(0, nmad_net::FaultPlan::new(7).latency_spike(0, 1, 1_000));
+                e
+            });
+            let (a, b) = (pair.next().unwrap(), pair.next().unwrap());
+            (world, a, b)
+        };
+        fn reliable(world: &SharedWorld, d: SimDriver) -> Box<dyn Driver> {
+            let clock = world.clone();
+            Box::new(nmad_net::ReliableDriver::new(
+                d,
+                Box::new(move || clock.lock().now().as_ns()),
+                None,
+                1_000_000,
+            ))
+        }
+        fn plain(_: &SharedWorld, d: SimDriver) -> Box<dyn Driver> {
+            Box::new(d)
+        }
+        let wraps: [(&str, Wrap); 2] = [
+            ("ReliableDriver<SimDriver>", reliable),
+            ("SimDriver with a FaultPlan", plain),
+        ];
+        for (name, wrap) in wraps {
+            let (world, mut a, mut b) = sim_pair(wrap);
+            let before = (settle(&mut a), settle(&mut b));
+            let mut calls = 0;
+            let s = a.isend(NodeId(1), Tag(2), vec![4u8; 512]);
+            let r = b.post_recv(NodeId(0), Tag(2), 512);
+            run_until(&world, || {
+                calls += 1;
+                let moved = a.progress() | b.progress();
+                if a.is_send_done(s) && b.is_recv_done(r) {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(moved)
+                }
+            })
+            .expect("no deadlock");
+            for _ in 0..8 {
+                assert!(!a.progress() && !b.progress());
+                calls += 1;
+            }
+            assert_eq!(a.metrics().engine.pumps - before.0, calls, "{name}");
+            assert_eq!(b.metrics().engine.pumps - before.1, calls, "{name}");
+        }
+
+        // The control: a quiet hinted engine skips its idle pumps.
+        let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
+        let mut hinted = engine(&world, 0, Box::new(StratAggreg));
+        let before = settle(&mut hinted);
+        for _ in 0..8 {
+            assert!(!hinted.progress());
+        }
+        assert_eq!(hinted.metrics().engine.pumps, before);
+    }
+
+    /// A driver decorator that forwards everything but the readiness
+    /// hint, so its engine pumps in full like a parent-era engine.
+    struct NoHint(SimDriver);
+
+    impl Driver for NoHint {
+        fn caps(&self) -> &nmad_net::Capabilities {
+            self.0.caps()
+        }
+        fn local_node(&self) -> NodeId {
+            self.0.local_node()
+        }
+        fn post_send(&mut self, dst: NodeId, iov: &[&[u8]]) -> NetResult<SendHandle> {
+            self.0.post_send(dst, iov)
+        }
+        fn test_send(&mut self, handle: SendHandle) -> NetResult<bool> {
+            self.0.test_send(handle)
+        }
+        fn poll_recv(&mut self) -> NetResult<Option<nmad_net::RxFrame>> {
+            self.0.poll_recv()
+        }
+        fn tx_idle(&self) -> bool {
+            self.0.tx_idle()
+        }
+    }
+
+    /// Rail 0 fails while the window holds work dedicated to it and the
+    /// engine is quiet: the next pump marks it dead at the same instant
+    /// as a full-pumping engine does, and the work fails over.
+    #[test]
+    fn a_rail_failed_under_queued_work_dies_at_the_same_instant() {
+        let run = |hint: bool| {
+            let world = shared_world(SimConfig::two_nodes_multirail(vec![
+                nic::mx_myri10g(),
+                nic::mx_myri10g(),
+            ]));
+            let drivers: Vec<Box<dyn Driver>> = SimDriver::all_rails(&world, NodeId(0))
+                .into_iter()
+                .map(|d| {
+                    if hint {
+                        Box::new(d) as Box<dyn Driver>
+                    } else {
+                        Box::new(NoHint(d))
+                    }
+                })
+                .collect();
+            let mut a = NmadEngine::new(
+                drivers,
+                Box::new(nmad_net::SimCpuMeter::new(world.clone(), NodeId(0))),
+                Box::new(StratDefault),
+                EngineCosts::from_software(&nmad_sim::host::costs_madmpi()),
+            );
+            let parts = || vec![(Bytes::from(vec![1u8; 4096]), Priority::Normal)];
+            a.submit_send_parts(NodeId(1), Tag(0), parts(), Some(0));
+            let queued = a.submit_send_parts(NodeId(1), Tag(0), parts(), Some(0));
+            let before = settle(&mut a);
+            assert!(!a.progress(), "the second segment waits for rail 0");
+            assert_eq!(a.window_depth(), 1);
+            world.lock().fail_rail(NodeId(0), nmad_sim::RailId(0));
+            assert!(a.progress(), "the failed rail is probed at once");
+            assert_eq!(a.diagnostics().dead_nics, 1);
+            assert_eq!(a.metrics().engine.rail_faults, 1);
+            // The hinted engine skipped the idle pump, not the probe.
+            let full = if hint { before + 1 } else { before + 2 };
+            assert_eq!(a.metrics().engine.pumps, full);
+            let dead_at = world.lock().now();
+            let mut b = NmadEngine::new(
+                SimDriver::all_rails(&world, NodeId(1))
+                    .into_iter()
+                    .map(|d| Box::new(d) as Box<dyn Driver>)
+                    .collect(),
+                Box::new(nmad_net::SimCpuMeter::new(world.clone(), NodeId(1))),
+                Box::new(StratDefault),
+                EngineCosts::from_software(&nmad_sim::host::costs_madmpi()),
+            );
+            let r = b.post_recv(NodeId(0), Tag(0), 4096);
+            let r2 = b.post_recv(NodeId(0), Tag(0), 4096);
+            let done = run_until(&world, || {
+                let moved = a.progress() | b.progress();
+                if a.is_send_done(queued) && b.is_recv_done(r2) {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(moved)
+                }
+            })
+            .expect("the survivor carries the requeued work");
+            assert!(b.is_recv_done(r), "the in-flight frame is requeued too");
+            (dead_at, done)
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    /// Every `&mut self` call other than `try_progress` clears the
+    /// state a quiet pump keeps: the next pump runs in full.
+    #[test]
+    fn every_mutating_call_clears_the_kept_quiet_state() {
+        let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
+        let mut a = engine(&world, 0, Box::new(StratAggreg));
+        let mut b = engine(&world, 1, Box::new(StratAggreg));
+        // A completed receive for `try_take_recv` to take.
+        let s = b.isend(NodeId(0), Tag(1), vec![1u8; 8]);
+        let r = a.post_recv(NodeId(1), Tag(1), 8);
+        pump_pair(&world, &mut a, &mut b, |a, b| {
+            b.is_send_done(s) && a.is_recv_done(r)
+        });
+        type Call = Box<dyn Fn(&mut NmadEngine)>;
+        let calls: Vec<(&str, Call)> = vec![
+            (
+                "isend",
+                Box::new(|e| {
+                    e.isend(NodeId(1), Tag(0), vec![0u8; 8]);
+                }),
+            ),
+            (
+                "submit_send_parts",
+                Box::new(|e| {
+                    let parts = vec![(Bytes::from_static(b"p"), Priority::Urgent)];
+                    e.submit_send_parts(NodeId(1), Tag(0), parts, None);
+                }),
+            ),
+            (
+                "submit_send_parts_as",
+                Box::new(|e| {
+                    let req = SendReqId(e.req_watermark());
+                    e.set_req_watermark(req.0 + 1);
+                    e.submit_send_parts_as(req, NodeId(1), Tag(0), vec![], None);
+                }),
+            ),
+            (
+                "post_recv",
+                Box::new(|e| {
+                    e.post_recv(NodeId(1), Tag(3), 8);
+                }),
+            ),
+            (
+                "post_recv_as",
+                Box::new(|e| e.post_recv_as(RecvReqId(u64::MAX), NodeId(1), Tag(4), 8)),
+            ),
+            (
+                "try_take_recv",
+                Box::new(move |e| assert!(e.try_take_recv(r).is_some())),
+            ),
+            (
+                "try_take_recv (none)",
+                Box::new(move |e| assert!(e.try_take_recv(r).is_none())),
+            ),
+            (
+                "drain_done_sends",
+                Box::new(|e| {
+                    e.drain_done_sends();
+                }),
+            ),
+            (
+                "drain_done_recvs",
+                Box::new(|e| {
+                    e.drain_done_recvs();
+                }),
+            ),
+            (
+                "set_req_watermark",
+                Box::new(|e| e.set_req_watermark(e.req_watermark())),
+            ),
+        ];
+        for (name, call) in calls {
+            let quiet = settle(&mut a);
+            a.progress();
+            assert_eq!(a.metrics().engine.pumps, quiet, "{name}: not quiet before");
+            call(&mut a);
+            a.progress();
+            assert_eq!(
+                a.metrics().engine.pumps,
+                quiet + 1,
+                "{name}: kept state survived"
+            );
+        }
+        // A fault plan takes the rail's hint away for good.
+        settle(&mut a);
+        let before = a.metrics().engine.pumps;
+        assert!(a.install_faults(0, nmad_net::FaultPlan::new(3)));
+        for _ in 0..4 {
+            a.progress();
+        }
+        assert_eq!(a.metrics().engine.pumps, before + 4);
     }
 
     /// Every depth reading counts segments on every rail's dedicated

@@ -68,6 +68,10 @@ pub struct EngineMetrics {
     /// Receive-side bytes actually memcpy'd (rendezvous reassembly
     /// without RDMA; eager paths are zero-copy slices).
     pub bytes_copied_rx: u64,
+    /// Progress pumps that ran in full: every `try_progress` call
+    /// except those the quiet check answered from the drivers'
+    /// readiness slots.
+    pub pumps: u64,
     /// Connections accepted and handshaken by connection-oriented
     /// drivers (summed across rails at snapshot time).
     pub ep_accepts: u64,
@@ -164,7 +168,7 @@ impl MetricsSnapshot {
              \"faults\":{{\"rail_faults\":{},\"requeued_entries\":{},\
              \"duplicates_dropped\":{},\"stale_cts_ignored\":{}}},\
              \"zero_copy\":{{\"gather_sends\":{},\"pool_hits\":{},\"pool_misses\":{},\
-             \"bytes_copied_rx\":{}}},\
+             \"bytes_copied_rx\":{}}},\"progress\":{{\"pumps\":{}}},\
              \"endpoint\":{{\"accepts\":{},\"handshake_failures\":{},\"teardowns\":{},\
              \"readiness_wakeups\":{},\"sockets_polled\":{},\"spurious_wakeups\":{},\
              \"backpressure_stalls\":{}}},\
@@ -190,6 +194,7 @@ impl MetricsSnapshot {
             e.pool_hits,
             e.pool_misses,
             e.bytes_copied_rx,
+            e.pumps,
             e.ep_accepts,
             e.ep_handshake_failures,
             e.ep_teardowns,
@@ -411,18 +416,6 @@ impl LogHistogram {
         }
         self.max
     }
-
-    /// Adds every recorded value of `other` into `self` (shard
-    /// aggregation: per-class histograms merge across shard engines).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Escapes `s` as a JSON string literal, quotes included.
@@ -451,7 +444,7 @@ mod tests {
     use super::*;
 
     /// Every counter holds a distinct non-zero value, numbered in
-    /// declaration order (24 engine, 9 wire, 4 link counters), so a
+    /// declaration order (25 engine, 9 wire, 4 link counters), so a
     /// dropped, renamed or swapped key changes the rendered JSON.
     fn sample() -> MetricsSnapshot {
         MetricsSnapshot {
@@ -474,32 +467,33 @@ mod tests {
                 pool_hits: 15,
                 pool_misses: 16,
                 bytes_copied_rx: 17,
-                ep_accepts: 18,
-                ep_handshake_failures: 19,
-                ep_teardowns: 20,
-                ep_readiness_wakeups: 21,
-                ep_sockets_polled: 22,
-                ep_spurious_wakeups: 23,
-                ep_backpressure_stalls: 24,
+                pumps: 18,
+                ep_accepts: 19,
+                ep_handshake_failures: 20,
+                ep_teardowns: 21,
+                ep_readiness_wakeups: 22,
+                ep_sockets_polled: 23,
+                ep_spurious_wakeups: 24,
+                ep_backpressure_stalls: 25,
             },
             wire: EngineStats {
-                frames_sent: 25,
-                frames_received: 26,
-                data_entries: 27,
-                rts_entries: 28,
-                cts_entries: 29,
-                chunk_entries: 30,
-                staging_copies: 31,
-                credit_stalls: 32,
-                credit_frames: 33,
+                frames_sent: 26,
+                frames_received: 27,
+                data_entries: 28,
+                rts_entries: 29,
+                cts_entries: 30,
+                chunk_entries: 31,
+                staging_copies: 32,
+                credit_stalls: 33,
+                credit_frames: 34,
             },
             nics: vec![NicMetrics {
                 name: "MX/\"Myri-10G\"".to_string(),
                 link: LinkStats {
-                    busy_ns: 34,
-                    idle_ns: 35,
-                    retransmits: 36,
-                    acks: 37,
+                    busy_ns: 35,
+                    idle_ns: 36,
+                    retransmits: 37,
+                    acks: 38,
                 },
             }],
         }
@@ -538,15 +532,15 @@ mod tests {
             r#""faults":{"rail_faults":10,"requeued_entries":11,"duplicates_dropped":12,"#,
             r#""stale_cts_ignored":13},"#,
             r#""zero_copy":{"gather_sends":14,"pool_hits":15,"pool_misses":16,"#,
-            r#""bytes_copied_rx":17},"#,
-            r#""endpoint":{"accepts":18,"handshake_failures":19,"teardowns":20,"#,
-            r#""readiness_wakeups":21,"sockets_polled":22,"spurious_wakeups":23,"#,
-            r#""backpressure_stalls":24},"#,
-            r#""wire":{"frames_sent":25,"frames_received":26,"data_entries":27,"#,
-            r#""rts_entries":28,"cts_entries":29,"chunk_entries":30,"staging_copies":31,"#,
-            r#""credit_stalls":32,"credit_frames":33},"#,
-            r#""nics":[{"name":"MX/\"Myri-10G\"","busy_ns":34,"idle_ns":35,"#,
-            r#""retransmits":36,"acks":37}]}"#,
+            r#""bytes_copied_rx":17},"progress":{"pumps":18},"#,
+            r#""endpoint":{"accepts":19,"handshake_failures":20,"teardowns":21,"#,
+            r#""readiness_wakeups":22,"sockets_polled":23,"spurious_wakeups":24,"#,
+            r#""backpressure_stalls":25},"#,
+            r#""wire":{"frames_sent":26,"frames_received":27,"data_entries":28,"#,
+            r#""rts_entries":29,"cts_entries":30,"chunk_entries":31,"staging_copies":32,"#,
+            r#""credit_stalls":33,"credit_frames":34},"#,
+            r#""nics":[{"name":"MX/\"Myri-10G\"","busy_ns":35,"idle_ns":36,"#,
+            r#""retransmits":37,"acks":38}]}"#,
         );
         assert_eq!(sample().to_json(), expected);
     }
@@ -640,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_empty_zero_and_merge() {
+    fn log_histogram_empty_zero_and_outlier() {
         let h = LogHistogram::new();
         assert!(h.is_empty());
         assert_eq!(h.value_at_quantile(0.99), 0);
@@ -650,12 +644,10 @@ mod tests {
         let mut a = LogHistogram::new();
         a.record(0);
         assert_eq!(a.value_at_quantile(0.5), 0, "zero values are representable");
-        let mut b = LogHistogram::new();
         for _ in 0..999 {
-            b.record(100);
+            a.record(100);
         }
-        b.record(1_000_000);
-        a.merge(&b);
+        a.record(1_000_000);
         assert_eq!(a.count(), 1001);
         assert_eq!(a.min(), 0);
         assert_eq!(a.max(), 1_000_000);

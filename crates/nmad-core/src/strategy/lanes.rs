@@ -51,6 +51,10 @@ pub struct StratLanes {
     /// Rendezvous ages past this admit full-size chunks even under
     /// expedited pressure.
     pub rdv_deadline: u64,
+    /// Payload bytes each tenant placed in the lane being served, in
+    /// the current round. Scratch for [`Strategy::schedule`], cleared
+    /// at each lane and each fresh round, so a frame allocates no map.
+    used: FxHashMap<Tag, usize>,
 }
 
 impl Default for StratLanes {
@@ -59,6 +63,7 @@ impl Default for StratLanes {
             age_step: DEFAULT_AGE_STEP,
             quantum: DEFAULT_QUANTUM,
             rdv_deadline: DEFAULT_RDV_DEADLINE,
+            used: FxHashMap::default(),
         }
     }
 }
@@ -76,6 +81,7 @@ impl StratLanes {
             age_step: age_step.max(1),
             quantum: quantum.max(1),
             rdv_deadline,
+            used: FxHashMap::default(),
         }
     }
 
@@ -133,7 +139,7 @@ impl Strategy for StratLanes {
         // urgency order; per-lane FIFO; per-tenant deficit inside a
         // lane.
         for service in 0..NUM_LANES as u8 {
-            let mut used: FxHashMap<Tag, usize> = FxHashMap::default();
+            self.used.clear();
             let mut took_since_reset = false;
             loop {
                 if !budget.fits_bare() {
@@ -143,13 +149,13 @@ impl Strategy for StratLanes {
                     w.dst == dst
                         && self.effective_lane(horizon, w.priority, w.order) == service
                         && (w.len() > cutoff || budget.fits_data(w.len()))
-                        && used.get(&w.tag).copied().unwrap_or(0) < self.quantum
+                        && self.used.get(&w.tag).copied().unwrap_or(0) < self.quantum
                 });
                 match taken {
                     Some((w, jumped)) => {
                         plan.reordered += u32::from(jumped);
                         took_since_reset = true;
-                        *used.entry(w.tag).or_insert(0) += w.len().max(1);
+                        *self.used.entry(w.tag).or_insert(0) += w.len().max(1);
                         if w.len() > cutoff {
                             if !budget.fits_bare() {
                                 window.push_segment(w, None);
@@ -168,7 +174,7 @@ impl Strategy for StratLanes {
                         // only if the last round made progress
                         // (otherwise nothing here fits the budget).
                         if took_since_reset {
-                            used.clear();
+                            self.used.clear();
                             took_since_reset = false;
                             continue;
                         }

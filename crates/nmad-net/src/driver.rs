@@ -15,7 +15,7 @@
 use crate::endpoint::EndpointStats;
 use crate::fault::{FaultPlan, FaultStats};
 use bytes::Bytes;
-use nmad_sim::NodeId;
+use nmad_sim::{NodeId, RailReadiness};
 use std::fmt;
 
 /// Static facts the engine collects from a driver at initialisation
@@ -223,6 +223,29 @@ pub trait Driver: Send {
     /// thread, so it must stay inline to remain deterministic.
     fn threaded_progress_safe(&self) -> bool {
         true
+    }
+
+    /// The lock-free mirror slot that decides this endpoint's answers,
+    /// if one does. A driver that returns `Some` promises, for as long
+    /// as it would keep returning it:
+    ///
+    /// * `pump` does nothing;
+    /// * `poll_recv` returns a frame exactly when the slot's inbox head
+    ///   is due (`rx_ready_at() <= now_ns()`);
+    /// * `tx_idle` is exactly `tx_free_at() <= now_ns()`;
+    /// * a send completes (`test_send` returns `true`) exactly when the
+    ///   clock reaches the `tx_free_at()` read right after its post.
+    ///
+    /// The engine takes the hint once per rail, when it is built or
+    /// split and when [`install_faults`](Self::install_faults) changes
+    /// the rail. After a pump that moved nothing, it answers the next
+    /// pumps from the slot alone until one of those instants is
+    /// reached. The default gives no hint, and the engine then pumps
+    /// the driver in full every time. Decorators keep the default:
+    /// their own state (retransmit timers, acknowledgements) changes
+    /// answers the slot does not show.
+    fn readiness(&self) -> Option<RailReadiness> {
+        None
     }
 }
 

@@ -9,11 +9,13 @@
 //! account.
 //!
 //! A poll that finds nothing takes no world lock: `poll_recv`,
-//! `tx_idle` and `test_send` first read the world's [`Readiness`]
-//! mirror, and lock only to pop a packet that is due or to consume a
-//! finished send token.
-
-use std::sync::Arc;
+//! `tx_idle` and `test_send` first read the world's
+//! [`Readiness`](nmad_sim::Readiness) mirror, and lock only to pop a
+//! packet that is due or to consume a finished send token. The driver
+//! hands its mirror slot to the engine ([`Driver::readiness`]) unless
+//! a fault plan is installed: a plan can swallow a post, and the
+//! swallowed send then completes before the transmit end the slot
+//! shows.
 
 use crate::driver::{
     Capabilities, CpuMeter, Driver, LinkStats, NetError, NetResult, RxFrame, SendHandle,
@@ -21,13 +23,13 @@ use crate::driver::{
 };
 use crate::fault::{FaultInjector, FaultPlan, FaultStats, FaultVerdict};
 use nmad_sim::{
-    FxHashMap, NodeId, RailId, Readiness, SendToken, SharedWorld, SimDuration, SimTime,
+    FxHashMap, NodeId, RailId, RailReadiness, SendToken, SharedWorld, SimDuration, SimTime,
 };
 
 /// A [`Driver`] over one rail of a shared simulated world.
 pub struct SimDriver {
     world: SharedWorld,
-    ready: Arc<Readiness>,
+    ready: RailReadiness,
     node: NodeId,
     rail: RailId,
     caps: Capabilities,
@@ -49,7 +51,7 @@ impl SimDriver {
             (
                 Capabilities::from_nic(model),
                 model.gather_entry_overhead,
-                w.readiness(),
+                w.readiness().rail(node, rail),
             )
         };
         SimDriver {
@@ -190,7 +192,7 @@ impl Driver for SimDriver {
 
     fn poll_recv(&mut self) -> NetResult<Option<RxFrame>> {
         // Nothing due yet: the world would find nothing either.
-        if self.ready.rx_ready_at(self.node, self.rail) > self.ready.now_ns() {
+        if self.ready.rx_ready_at() > self.ready.now_ns() {
             return Ok(None);
         }
         Ok(self
@@ -209,7 +211,11 @@ impl Driver for SimDriver {
         // discovery); the simulator's own `nic_idle` stays false for
         // failed rails, but its mirror publishes a failed rail as free
         // from time zero.
-        self.ready.tx_free_at(self.node, self.rail) <= self.ready.now_ns()
+        self.ready.tx_free_at() <= self.ready.now_ns()
+    }
+
+    fn readiness(&self) -> Option<RailReadiness> {
+        self.faults.is_none().then(|| self.ready.clone())
     }
 
     fn link_stats(&self) -> LinkStats {
@@ -432,6 +438,25 @@ mod tests {
         let at = delivered_at.expect("frame still delivered");
         assert!(at >= extra, "delivery at {at} ns, expected ≥ {extra} ns");
         assert_eq!(a.fault_stats().delayed, 1);
+    }
+
+    #[test]
+    fn readiness_hint_tracks_the_rail_until_a_fault_plan() {
+        let (world, mut a, _b) = pair();
+        let slot = a.readiness().expect("a plain sim driver gives a hint");
+        assert_eq!((slot.rx_ready_at(), slot.tx_free_at()), (u64::MAX, 0));
+        a.post_send(NodeId(1), &[b"x"]).unwrap();
+        let tx_end = world.lock().nic_busy_until(NodeId(0), RailId(0)).as_ns();
+        assert_eq!(
+            slot.tx_free_at(),
+            tx_end,
+            "the post published its transmit end"
+        );
+        settle(&world);
+        assert_eq!(slot.now_ns(), world.lock().now().as_ns());
+        // A plan can swallow a post: the slot would then lie.
+        assert!(a.install_faults(FaultPlan::new(1)));
+        assert!(a.readiness().is_none());
     }
 
     #[test]

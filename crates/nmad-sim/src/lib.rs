@@ -44,4 +44,4 @@ pub use nic::NicModel;
 pub use runner::{run_until, shared_world, Deadlock, SharedWorld};
 pub use time::{SimDuration, SimTime};
 pub use topo::{NodeId, RailId, SimConfig};
-pub use world::{Readiness, RxPacket, SendToken, SimWorld, WorldStats};
+pub use world::{RailReadiness, Readiness, RxPacket, SendToken, SimWorld, WorldStats};

@@ -65,6 +65,12 @@ const LIVELOCK_ROUNDS: usize = 1_000_000;
 /// moved is retried at the same instant, since progress by one engine
 /// (e.g. a delivered packet) usually enables another.
 ///
+/// The next event is an inbox head, a transmit end or an instant
+/// registered with [`SimWorld::schedule_wakeup`]; CPU charges add none.
+/// A step that submits work after pumping (for instance from its goal
+/// check) must pump again before it reports, or the clock moves past
+/// that work.
+///
 /// Returns the virtual time at which the goal was observed. A
 /// [`Deadlock`] carries a dump of outstanding simulator state.
 pub fn run_until(

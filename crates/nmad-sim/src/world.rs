@@ -9,11 +9,14 @@
 //! copies and per-request software costs.
 //!
 //! Time only moves in [`SimWorld::advance`], which jumps to the next
-//! recorded wakeup (a transmit completion, a packet delivery, or a CPU
-//! account becoming free). The co-simulation loop in [`crate::runner`]
-//! calls it whenever every engine is quiescent, which makes every run
-//! deterministic and lets the figure harnesses read exact virtual
-//! timings.
+//! recorded wakeup: a transmit end, a packet delivery, or an instant a
+//! caller registered with [`SimWorld::schedule_wakeup`]. A CPU charge
+//! records none, because no answer a driver gives reads the CPU
+//! account: CPU time reaches the wire only through a later post's
+//! transmit start, and that post's transmit end has its own wakeup.
+//! The co-simulation loop in [`crate::runner`] calls it whenever every
+//! engine is quiescent, which makes every run deterministic and lets
+//! the figure harnesses read exact virtual timings.
 //!
 //! The world also publishes the values an idle poll reads — the clock,
 //! and per node × rail the instant the inbox head is due and the
@@ -62,6 +65,8 @@ pub struct WorldStats {
     pub cpu_time: SimDuration,
     /// Payload bytes carried per rail (multirail split diagnostics).
     pub per_rail_bytes: Vec<u64>,
+    /// Times [`SimWorld::advance`] moved the clock.
+    pub advances: u64,
 }
 
 #[derive(Debug)]
@@ -126,6 +131,13 @@ struct NodeState {
 /// Every store happens under the world lock, right after the state it
 /// mirrors changed; DESIGN §4 argues why an answer read from the mirror
 /// always equals the locked world's.
+///
+/// The engine reads the same values one level up ([`RailReadiness`]):
+/// after a pump that moved nothing it keeps each rail's front transmit
+/// end, and skips pumps while the clock is below it, below the inbox
+/// head and, with work queued, below the transmit-free instant. The
+/// inbox head is the one value another node moves (a peer's post can
+/// land ahead of it), so the engine re-reads it instead of keeping it.
 pub struct Readiness {
     rails: usize,
     now_ns: AtomicU64,
@@ -163,6 +175,43 @@ impl Readiness {
     /// the rail failed.
     pub fn tx_free_at(&self, node: NodeId, rail: RailId) -> u64 {
         self.tx_free_at[self.slot(node, rail)].load(Ordering::Acquire)
+    }
+
+    /// The mirror of `node`'s NIC on `rail` alone, with its slot
+    /// resolved once.
+    pub fn rail(self: &Arc<Self>, node: NodeId, rail: RailId) -> RailReadiness {
+        RailReadiness {
+            slot: self.slot(node, rail),
+            ready: Arc::clone(self),
+        }
+    }
+}
+
+/// One node × rail of the [`Readiness`] mirror: the clock and the two
+/// instants that decide that NIC's idle answers. A driver hands it to
+/// the engine (`Driver::readiness`), which reads it to skip pumps
+/// before anything on the rail can have changed.
+#[derive(Clone)]
+pub struct RailReadiness {
+    ready: Arc<Readiness>,
+    slot: usize,
+}
+
+impl RailReadiness {
+    /// Current virtual time, in nanoseconds.
+    pub fn now_ns(&self) -> u64 {
+        self.ready.now_ns()
+    }
+
+    /// Instant (ns) the inbox head is due, `u64::MAX` when empty.
+    pub fn rx_ready_at(&self) -> u64 {
+        self.ready.rx_ready_at[self.slot].load(Ordering::Acquire)
+    }
+
+    /// Instant (ns) the transmit side is free; `0` once the rail
+    /// failed.
+    pub fn tx_free_at(&self) -> u64 {
+        self.ready.tx_free_at[self.slot].load(Ordering::Acquire)
     }
 }
 
@@ -282,6 +331,11 @@ impl SimWorld {
     /// Charges `dur` of CPU time to `node` and returns the instant the
     /// CPU becomes free again. Charges are serialized per node: the
     /// account never runs in the past.
+    ///
+    /// The charge records no wakeup: the CPU account decides no driver
+    /// answer, only where a later post's transmission starts. A caller
+    /// that needs the clock to stop at the returned instant registers
+    /// it with [`schedule_wakeup`](Self::schedule_wakeup).
     pub fn charge_cpu(&mut self, node: NodeId, dur: SimDuration) -> SimTime {
         if dur == SimDuration::ZERO {
             return self.nodes[node.index()].cpu_free_at.max(self.now);
@@ -290,7 +344,6 @@ impl SimWorld {
         let start = state.cpu_free_at.max(self.now);
         state.cpu_free_at = start + dur;
         let free_at = state.cpu_free_at;
-        self.wakeups.push(Reverse(free_at));
         self.stats.cpu_charges += 1;
         self.stats.cpu_time += dur;
         self.record(TraceEvent::CpuCharge { node, dur });
@@ -528,6 +581,7 @@ impl SimWorld {
             if t > self.now {
                 self.now = t;
                 self.ready.now_ns.store(t.as_ns(), Ordering::Release);
+                self.stats.advances += 1;
                 return Some(t);
             }
         }
@@ -691,10 +745,31 @@ mod tests {
         w.post_send(N0, R0, N1, vec![0u8; 4]);
         while w.advance().is_some() {}
         assert!(w.poll_recv(N1, R0).is_some());
-        // Consuming the delivery charges rx CPU, which schedules one
-        // more wakeup; after draining it the world is quiescent.
-        while w.advance().is_some() {}
+        // Consuming the delivery charges rx CPU, which records no
+        // wakeup: the world is quiescent at once.
+        assert!(w.cpu_free_at(N1) > w.now());
         assert!(w.advance().is_none());
+    }
+
+    #[test]
+    fn cpu_charges_never_stop_the_clock() {
+        let mut w = world();
+        let free = w.charge_cpu(N0, SimDuration::from_us(5));
+        assert!(
+            w.advance().is_none(),
+            "a charge alone leaves nothing pending"
+        );
+        // The post waits for the CPU account; the clock stops only at
+        // its transmit end and delivery.
+        w.post_send(N0, R0, N1, vec![0u8; 64]);
+        let mut stops = Vec::new();
+        while let Some(t) = w.advance() {
+            stops.push(t);
+        }
+        let model = nic::mx_myri10g();
+        let tx_end = free + model.tx_overhead + model.wire_time(64);
+        assert_eq!(stops, [tx_end, tx_end + model.latency]);
+        assert_eq!(w.stats().advances, 2);
     }
 
     #[test]

@@ -33,6 +33,12 @@
 //!   per-class percentile row (p50 → p99.99) and every cross-strategy
 //!   ratio is deterministic virtual time and gates strictly; means and
 //!   absolute throughput are context.
+//! * In both `BENCH_tail.json` and `BENCH_shards.json`, every row's
+//!   `pumps_per_msg` (full engine pumps) and `advances_per_msg`
+//!   (simulator clock stops) gate lower-is-better: they count the
+//!   simulator's own work, deterministically, and rise when the engine
+//!   stops skipping idle pumps or the clock stops at instants no driver
+//!   answer reads.
 //!
 //! Rows that do not gate are *demoted*, never silently dropped: a
 //! demoted row always carries a `context_reason` shown in the status
@@ -420,6 +426,43 @@ fn extract_batch(base: &Json, cur: &Json) -> Vec<Metric> {
     out
 }
 
+/// True when both reports ran the same sweep: every baseline row's
+/// `field` equals the current row's of the same identity (a row the
+/// current report lacks counts as equal; it fails as missing instead).
+fn same_sweep(base: &Json, cur: &Json, section: &str, ident: &[&str], field: &str) -> bool {
+    let base_rows = row_metric(base, section, ident, field);
+    let cur_rows = row_metric(cur, section, ident, field);
+    !base_rows.is_empty()
+        && base_rows.iter().all(|(key, n)| {
+            cur_rows
+                .iter()
+                .find(|(k, _)| k == key)
+                .is_none_or(|(_, c)| c == n)
+        })
+}
+
+/// The per-message simulator costs of a row report: full engine pumps
+/// and clock advances, lower is better, gated only between reports of
+/// the same sweep (message counts and sizes move them).
+fn sim_costs(base: &Json, cur: &Json, section: &str, ident: &[&str], same: bool) -> Vec<Metric> {
+    let gate = if same {
+        Gate::Gated(Better::Lower)
+    } else {
+        Gate::Context {
+            context_reason: "skipped (different sweep scale)",
+        }
+    };
+    let mut out = Vec::new();
+    for metric in ["pumps_per_msg", "advances_per_msg"] {
+        out.extend(pair(
+            row_metric(base, section, ident, metric),
+            row_metric(cur, section, ident, metric),
+            |_| gate,
+        ));
+    }
+    out
+}
+
 fn extract_shards(base: &Json, cur: &Json) -> Vec<Metric> {
     // The scaling ratios come from deterministic virtual time, so they
     // gate strictly: a shard-count that stops paying for itself is a
@@ -437,6 +480,8 @@ fn extract_shards(base: &Json, cur: &Json) -> Vec<Metric> {
             context_reason: "info (absolute of gated ratio)",
         },
     ));
+    let same = same_sweep(base, cur, "shards", &["shards"], "total_bytes");
+    out.extend(sim_costs(base, cur, "shards", &["shards"], same));
     out
 }
 
@@ -497,17 +542,9 @@ fn extract_tail(base: &Json, cur: &Json) -> Vec<Metric> {
     // strictly.
     let mut out = Vec::new();
     let ident: &[&str] = &["scenario", "strategy", "class"];
-    let base_counts = row_metric(base, "tail", ident, "count");
-    let cur_counts = row_metric(cur, "tail", ident, "count");
-    let same_sweep = !base_counts.is_empty()
-        && base_counts.iter().all(|(key, n)| {
-            cur_counts
-                .iter()
-                .find(|(k, _)| k == key)
-                .is_none_or(|(_, c)| c == n)
-        });
+    let same = same_sweep(base, cur, "tail", ident, "count");
     let scale_gate = |better: Better| {
-        if same_sweep {
+        if same {
             Gate::Gated(better)
         } else {
             Gate::Context {
@@ -541,6 +578,7 @@ fn extract_tail(base: &Json, cur: &Json) -> Vec<Metric> {
             context_reason: "info (absolute of gated ratio)",
         },
     ));
+    out.extend(sim_costs(base, cur, "tail", ident, same));
     out
 }
 
@@ -685,9 +723,59 @@ mod tests {
     }
 
     const BASE_SHARDS: &str = r#"{"shards":[
-        {"shards":1,"rails":1,"flows":64,"total_bytes":16777216,"virtual_us":13728.0,"throughput_mbs":1222.0},
-        {"shards":4,"rails":4,"flows":64,"total_bytes":16777216,"virtual_us":3442.0,"throughput_mbs":4874.0}],
+        {"shards":1,"rails":1,"flows":64,"total_bytes":16777216,"virtual_us":13728.0,"throughput_mbs":1222.0,"pumps_per_msg":4.047,"advances_per_msg":2.000},
+        {"shards":4,"rails":4,"flows":64,"total_bytes":16777216,"virtual_us":3442.0,"throughput_mbs":4874.0,"pumps_per_msg":4.188,"advances_per_msg":2.000}],
         "scaling":{"scale_4x_over_1x":3.989}}"#;
+
+    #[test]
+    fn simulator_costs_gate_lower_is_better_within_one_sweep() {
+        // An engine that stopped skipping idle pumps, and a clock that
+        // stops at CPU instants again: both gate.
+        let busier = BASE_SHARDS
+            .replace("\"pumps_per_msg\":4.188", "\"pumps_per_msg\":41.000")
+            .replace(
+                "\"throughput_mbs\":1222.0,\"pumps_per_msg\":4.047,\"advances_per_msg\":2.000",
+                "\"throughput_mbs\":1222.0,\"pumps_per_msg\":4.047,\"advances_per_msg\":4.500",
+            );
+        let m = extract_shards(&parse(BASE_SHARDS).unwrap(), &parse(&busier).unwrap());
+        let pumps = m
+            .iter()
+            .find(|m| m.key == "shards:4:pumps_per_msg")
+            .unwrap();
+        assert_eq!(pumps.gate, Gate::Gated(Better::Lower));
+        assert!(regressed(pumps, 0.20));
+        let advances = m
+            .iter()
+            .find(|m| m.key == "shards:1:advances_per_msg")
+            .unwrap();
+        assert!(regressed(advances, 0.20));
+        let fewer = BASE_SHARDS.replace("\"pumps_per_msg\":4.188", "\"pumps_per_msg\":2.000");
+        let m = extract_shards(&parse(BASE_SHARDS).unwrap(), &parse(&fewer).unwrap());
+        assert!(m.iter().all(|m| !regressed(m, 0.20)));
+
+        // Another sweep (the committed full report against the quick
+        // baseline) demotes them instead.
+        let other = busier.replace("16777216", "2097152");
+        let m = extract_shards(&parse(BASE_SHARDS).unwrap(), &parse(&other).unwrap());
+        let pumps = m
+            .iter()
+            .find(|m| m.key == "shards:4:pumps_per_msg")
+            .unwrap();
+        assert_eq!(
+            pumps.context_reason(),
+            Some("skipped (different sweep scale)")
+        );
+        assert!(!regressed(pumps, 0.20));
+
+        let slower = BASE_TAIL.replace("\"pumps_per_msg\":5.471", "\"pumps_per_msg\":51.600");
+        let m = extract_tail(&parse(BASE_TAIL).unwrap(), &parse(&slower).unwrap());
+        let pumps = m
+            .iter()
+            .find(|m| m.key == "tail:mixed/lanes/urgent-small:pumps_per_msg")
+            .unwrap();
+        assert_eq!(pumps.gate, Gate::Gated(Better::Lower));
+        assert!(regressed(pumps, 0.20));
+    }
 
     #[test]
     fn a_collapsed_shard_scaling_ratio_is_a_regression() {
@@ -801,8 +889,8 @@ mod tests {
     }
 
     const BASE_TAIL: &str = r#"{"tail":[
-        {"scenario":"mixed","strategy":"aggreg","class":"urgent-small","count":415,"p50_us":217.1,"p90_us":4063.2,"p99_us":4587.5,"p999_us":4587.5,"p9999_us":4587.5,"mean_us":1000.0},
-        {"scenario":"mixed","strategy":"lanes","class":"urgent-small","count":415,"p50_us":57.3,"p90_us":102.4,"p99_us":180.2,"p999_us":344.1,"p9999_us":344.1,"mean_us":70.0}],
+        {"scenario":"mixed","strategy":"aggreg","class":"urgent-small","count":415,"p50_us":217.1,"p90_us":4063.2,"p99_us":4587.5,"p999_us":4587.5,"p9999_us":4587.5,"mean_us":1000.0,"pumps_per_msg":5.553,"advances_per_msg":2.288},
+        {"scenario":"mixed","strategy":"lanes","class":"urgent-small","count":415,"p50_us":57.3,"p90_us":102.4,"p99_us":180.2,"p999_us":344.1,"p9999_us":344.1,"mean_us":70.0,"pumps_per_msg":5.471,"advances_per_msg":2.256}],
         "throughput":{"mixed/aggreg":1813.00,"mixed/lanes":1816.00},
         "ratios":{"mixed/urgent-small/aggreg_p999_over_lanes":13.331,"mixed/lanes_throughput_over_aggreg":1.002}}"#;
 
