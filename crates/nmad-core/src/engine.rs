@@ -410,8 +410,21 @@ impl NmadEngine {
     pub fn new(
         drivers: Vec<Box<dyn Driver>>,
         meter: Box<dyn CpuMeter>,
+        strategy: Box<dyn Strategy>,
+        costs: EngineCosts,
+    ) -> Self {
+        Self::build(drivers, meter, strategy, costs, None)
+    }
+
+    /// The one constructor behind [`new`](Self::new) and
+    /// [`split_for_shards`](Self::split_for_shards): an engine that has
+    /// not run, its strategy initialised with `drivers`' capabilities.
+    fn build(
+        drivers: Vec<Box<dyn Driver>>,
+        meter: Box<dyn CpuMeter>,
         mut strategy: Box<dyn Strategy>,
         costs: EngineCosts,
+        route: Option<ShardRoute>,
     ) -> Self {
         assert!(!drivers.is_empty(), "engine needs at least one driver");
         let node = drivers[0].local_node();
@@ -443,7 +456,7 @@ impl NmadEngine {
             stats: EngineStats::default(),
             metrics: EngineMetrics::default(),
             pool: FramePool::new(64),
-            route: None,
+            route,
             rx_saturation_cap: DEFAULT_RX_SATURATION_CAP,
             rx_backpressured: false,
             quiet: false,
@@ -1265,20 +1278,25 @@ impl NmadEngine {
         self.next_req = next;
     }
 
-    /// Splits this engine into `shards` independent shard engines:
-    /// rail `r` goes to shard `r % shards`, and every flow-keyed
-    /// structure (window, matching, sequence allocators, rendezvous
-    /// memos) partitions by `policy`'s owner function. The transmit
-    /// side must be quiescent — nothing in flight crosses the split.
+    /// Splits an engine that has not run into `shards` independent
+    /// engines: rail `r` goes to shard `r % shards`, and each part owns
+    /// the flows `policy` routes to its index. Nothing migrates: every
+    /// part is built as [`new`](Self::new) builds an engine, with
+    /// [`Strategy::for_shard`]'s instance over its own rails.
     ///
-    /// Shard 0 inherits the CPU meter, accumulated statistics and
-    /// undrained completions; the other shards start fresh, with a
+    /// Shard 0 keeps the CPU meter; the other shards get a
     /// [`NullMeter`](nmad_net::NullMeter). Over the simulator, shards
     /// 1.. therefore charge nothing through the meter: none of their
     /// [`EngineCosts`] and none of their staging or receive copies reach
     /// the node's CPU account, only their drivers' gather, post and
     /// receive overheads. Every rail's driver keeps its readiness
     /// hint.
+    ///
+    /// # Panics
+    ///
+    /// If `shards` is zero or exceeds the rail count, or if the engine
+    /// has run: anything submitted, posted or pumped since
+    /// [`new`](Self::new) leaves its [`EngineMetrics`] off the default.
     pub fn split_for_shards(self, shards: usize, policy: ShardPolicy) -> Vec<NmadEngine> {
         assert!(shards > 0, "cannot split into zero shards");
         assert!(
@@ -1287,79 +1305,30 @@ impl NmadEngine {
             self.nics.len()
         );
         assert!(
-            self.tx_quiescent(),
-            "split_for_shards requires a quiescent transmit side"
+            self.metrics == EngineMetrics::default(),
+            "split_for_shards requires an engine that has not run"
         );
-        let node = self.node;
-        let owner = move |peer: NodeId, tag: Tag| policy.route(shards, node, peer, tag);
-
-        let mut nic_parts: Vec<Vec<NicState>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut rails: Vec<Vec<Box<dyn Driver>>> = (0..shards).map(|_| Vec::new()).collect();
         for (r, nic) in self.nics.into_iter().enumerate() {
-            nic_parts[r % shards].push(nic);
+            rails[r % shards].push(nic.driver);
         }
-        let windows = self.window.split(shards, owner);
-        let matchings = self.matching.split_by(shards, owner);
-        let mut next_seqs: Vec<FxHashMap<(NodeId, Tag), SeqNo>> =
-            (0..shards).map(|_| FxHashMap::default()).collect();
-        for (k, v) in self.next_seq {
-            next_seqs[owner(k.0, k.1)].insert(k, v);
-        }
-        let mut rdv_dones: Vec<FxHashSet<RdvKey>> =
-            (0..shards).map(|_| FxHashSet::default()).collect();
-        for key in self.rdv_done {
-            rdv_dones[owner(key.0, key.1)].insert(key);
-        }
-
-        let base_strategy = self.strategy;
         let mut meter = Some(self.meter);
-        let mut stats = Some(self.stats);
-        let mut metrics = Some(self.metrics);
-        let mut done_sends = Some(self.done_sends);
-        let mut pool = Some(self.pool);
-
-        let mut parts = Vec::with_capacity(shards);
-        for (s, ((nics, window), matching)) in nic_parts
+        rails
             .into_iter()
-            .zip(windows)
-            .zip(matchings)
             .enumerate()
-        {
-            let caps: Vec<_> = nics.iter().map(|n| n.driver.caps().clone()).collect();
-            let mut strategy = base_strategy.for_shard(s, shards);
-            strategy.init(&caps);
-            parts.push(NmadEngine {
-                node,
-                hinted: nics.iter().all(|n| n.ready.is_some()),
-                nics,
-                meter: meter
+            .map(|(shard, drivers)| {
+                let meter = meter
                     .take()
-                    .unwrap_or_else(|| Box::new(nmad_net::NullMeter)),
-                strategy,
-                window,
-                matching,
-                rdv_wait_cts: FxHashMap::default(),
-                rdv_tx: FxHashMap::default(),
-                rdv_done: std::mem::take(&mut rdv_dones[s]),
-                sends: FxHashMap::default(),
-                done_sends: done_sends.take().unwrap_or_default(),
-                next_req: self.next_req,
-                next_seq: std::mem::take(&mut next_seqs[s]),
-                order: self.order,
-                costs: self.costs,
-                stats: stats.take().unwrap_or_default(),
-                metrics: metrics.take().unwrap_or_default(),
-                pool: pool.take().unwrap_or_else(|| FramePool::new(64)),
-                route: Some(ShardRoute {
-                    shard: s,
+                    .unwrap_or_else(|| Box::new(nmad_net::NullMeter));
+                let strategy = self.strategy.for_shard(shard, shards);
+                let route = ShardRoute {
+                    shard,
                     shards,
                     policy,
-                }),
-                rx_saturation_cap: self.rx_saturation_cap,
-                rx_backpressured: self.rx_backpressured,
-                quiet: false,
-            });
-        }
-        parts
+                };
+                Self::build(drivers, meter, strategy, self.costs, Some(route))
+            })
+            .collect()
     }
 }
 
@@ -1641,8 +1610,8 @@ mod tests {
     }
 
     /// Engines whose drivers give no readiness hint — a decorator over
-    /// a simulated rail, or a simulated rail with a fault plan — run a
-    /// full pump on every call, idle or not.
+    /// a simulated rail, or a simulated rail with a fault plan that can
+    /// lose posts — run a full pump on every call, idle or not.
     #[test]
     fn unhinted_simulated_rails_never_skip_a_pump() {
         type Wrap = fn(&SharedWorld, SimDriver) -> Box<dyn Driver>;
@@ -1656,7 +1625,9 @@ mod tests {
                     Box::new(StratAggreg),
                     EngineCosts::from_software(&nmad_sim::host::costs_madmpi()),
                 );
-                e.install_faults(0, nmad_net::FaultPlan::new(7).latency_spike(0, 1, 1_000));
+                // The link goes down long after this test's posts: the
+                // plan can lose posts, though it loses none here.
+                e.install_faults(0, nmad_net::FaultPlan::new(7).link_down(1 << 40, u64::MAX));
                 e
             });
             let (a, b) = (pair.next().unwrap(), pair.next().unwrap());
@@ -1676,7 +1647,7 @@ mod tests {
         }
         let wraps: [(&str, Wrap); 2] = [
             ("ReliableDriver<SimDriver>", reliable),
-            ("SimDriver with a FaultPlan", plain),
+            ("SimDriver with a lossy FaultPlan", plain),
         ];
         for (name, wrap) in wraps {
             let (world, mut a, mut b) = sim_pair(wrap);
@@ -1702,14 +1673,20 @@ mod tests {
             assert_eq!(b.metrics().engine.pumps - before.1, calls, "{name}");
         }
 
-        // The control: a quiet hinted engine skips its idle pumps.
+        // The controls: a quiet hinted engine skips its idle pumps, and
+        // so does one whose plan only delays frames.
         let world = shared_world(SimConfig::two_nodes(nic::mx_myri10g()));
         let mut hinted = engine(&world, 0, Box::new(StratAggreg));
-        let before = settle(&mut hinted);
-        for _ in 0..8 {
-            assert!(!hinted.progress());
+        let mut spiked = engine(&world, 1, Box::new(StratAggreg));
+        let spike = nmad_net::FaultPlan::new(7).latency_spike(0, 1, 1_000);
+        assert!(spiked.install_faults(0, spike));
+        for e in [&mut hinted, &mut spiked] {
+            let before = settle(e);
+            for _ in 0..8 {
+                assert!(!e.progress());
+            }
+            assert_eq!(e.metrics().engine.pumps, before);
         }
-        assert_eq!(hinted.metrics().engine.pumps, before);
     }
 
     /// A driver decorator that forwards everything but the readiness
@@ -1886,14 +1863,43 @@ mod tests {
                 "{name}: kept state survived"
             );
         }
-        // A fault plan takes the rail's hint away for good.
+        // A spike-only plan clears the kept state like any other call,
+        // but the rail keeps its hint: the next quiet pumps skip again.
         settle(&mut a);
         let before = a.metrics().engine.pumps;
-        assert!(a.install_faults(0, nmad_net::FaultPlan::new(3)));
+        let spike = nmad_net::FaultPlan::new(3).latency_spike(0, u64::MAX, 1_000);
+        assert!(a.install_faults(0, spike));
+        for _ in 0..4 {
+            a.progress();
+        }
+        assert_eq!(a.metrics().engine.pumps, before + 1);
+        // A plan that can lose posts takes the rail's hint away for good.
+        let before = a.metrics().engine.pumps;
+        assert!(a.install_faults(0, nmad_net::FaultPlan::new(3).link_down(0, 1)));
         for _ in 0..4 {
             a.progress();
         }
         assert_eq!(a.metrics().engine.pumps, before + 4);
+    }
+
+    /// A split deals out the rails of an engine that has not run;
+    /// nothing migrates, so one holding a posted receive is refused.
+    #[test]
+    #[should_panic(expected = "split_for_shards requires an engine that has not run")]
+    fn split_refuses_an_engine_that_has_run() {
+        let world = shared_world(SimConfig::two_nodes_multirail(vec![nic::mx_myri10g(); 2]));
+        let drivers = SimDriver::all_rails(&world, NodeId(0))
+            .into_iter()
+            .map(|d| Box::new(d) as Box<dyn Driver>)
+            .collect();
+        let mut e = NmadEngine::new(
+            drivers,
+            Box::new(nmad_net::SimCpuMeter::new(world.clone(), NodeId(0))),
+            Box::new(StratAggreg),
+            EngineCosts::from_software(&nmad_sim::host::costs_madmpi()),
+        );
+        e.post_recv(NodeId(1), Tag(0), 8);
+        e.split_for_shards(2, ShardPolicy::HashByDest);
     }
 
     /// Every depth reading counts segments on every rail's dedicated

@@ -398,39 +398,6 @@ impl Matching {
     pub fn posted_count(&self) -> usize {
         self.posted.len()
     }
-
-    /// Partitions this matching state into `shards` independent states
-    /// by flow ownership: every map entry keyed by a `(src, tag)` flow
-    /// moves to the part `owner(src, tag) % shards` selects. Because
-    /// every structure here is keyed by flow, the partition is exact:
-    /// no state is shared between parts.
-    pub fn split_by(
-        self,
-        shards: usize,
-        mut owner: impl FnMut(NodeId, Tag) -> usize,
-    ) -> Vec<Matching> {
-        assert!(shards > 0, "cannot split into zero shards");
-        let mut parts: Vec<Matching> = (0..shards).map(|_| Matching::new()).collect();
-        for (k, v) in self.posted {
-            parts[owner(k.0, k.1) % shards].posted.insert(k, v);
-        }
-        for (k, v) in self.next_seq {
-            parts[owner(k.0, k.1) % shards].next_seq.insert(k, v);
-        }
-        for (k, v) in self.unexpected {
-            parts[owner(k.0, k.1) % shards].unexpected.insert(k, v);
-        }
-        for (k, v) in self.pending_rts {
-            parts[owner(k.0, k.1) % shards].pending_rts.insert(k, v);
-        }
-        for (req, d) in self.done {
-            parts[owner(d.src, d.tag) % shards].done.insert(req, d);
-        }
-        for (k, v) in self.delivered {
-            parts[owner(k.0, k.1) % shards].delivered.insert(k, v);
-        }
-        parts
-    }
 }
 
 #[cfg(test)]

@@ -172,6 +172,12 @@ impl DstCounts {
 /// window keeps a per-destination count index so those queries return
 /// in O(1) when the answer is "nothing", instead of rescanning the full
 /// control and rendezvous queues on every poll.
+///
+/// A window lives in one engine for that engine's whole life, as in the
+/// paper (§3.1): each engine
+/// [`NmadEngine::split_for_shards`](crate::NmadEngine::split_for_shards)
+/// returns builds an empty one of its own, and queued work never moves
+/// between windows.
 #[derive(Debug)]
 pub struct Window {
     ctrl: VecDeque<CtrlMsg>,
@@ -486,95 +492,15 @@ impl Window {
         &self.common
     }
 
-    /// Read-only view of the queued control messages (tests, shard
-    /// split verification).
+    /// Read-only view of the queued control messages (selection
+    /// heuristics).
     pub fn ctrl_ref(&self) -> &VecDeque<CtrlMsg> {
         &self.ctrl
     }
 
-    /// Read-only view of the queued rendezvous jobs (tests, shard
-    /// split verification).
-    pub fn rdv_ref(&self) -> &VecDeque<RdvJob> {
-        &self.rdv
-    }
-
-    /// Number of dedicated per-NIC lists this window was built with.
-    pub fn nic_count(&self) -> usize {
-        self.dedicated.len()
-    }
-
-    // --- shard split ---
-
-    /// Splits the window into `shards` parts, one per engine
-    /// [`NmadEngine::split_for_shards`](crate::NmadEngine::split_for_shards)
-    /// returns.
-    ///
-    /// * **Dedicated lists** follow their rail: global rail `r` belongs
-    ///   to shard `r % shards` (the same round-robin partition the
-    ///   engine applies to its drivers), becoming that part's local
-    ///   list `r / shards`. Their contents move wholesale and in order
-    ///   — an application that pinned a rail keeps its pinning.
-    /// * **Control messages, common segments and rendezvous jobs** go
-    ///   to `owner(dst, tag)` — the shard-routing function — keeping
-    ///   their relative order within each part.
-    ///
-    /// Every queued item lands in exactly one part, per-flow order is
-    /// preserved within each part (the delivery-relevant invariant —
-    /// receivers restore per-flow order from sequence numbers
-    /// regardless), and every part's destination index is consistent
-    /// ([`Self::index_is_consistent`]).
-    pub fn split(self, shards: usize, mut owner: impl FnMut(NodeId, Tag) -> usize) -> Vec<Window> {
-        assert!(shards > 0, "cannot split into zero shards");
-        let nic_count = self.dedicated.len();
-        let mut parts: Vec<Window> = (0..shards)
-            .map(|s| {
-                // Rails r with r % shards == s, i.e. one list per
-                // global rail this shard owns (possibly zero).
-                let local_nics = (s..nic_count).step_by(shards.max(1)).count();
-                Window::new(local_nics)
-            })
-            .collect();
-        for (rail, list) in self.dedicated.into_iter().enumerate() {
-            // push_segment keeps each part's lane index covering the
-            // moved list; order within the list is preserved.
-            for w in list {
-                parts[rail % shards].push_segment(w, Some(rail / shards));
-            }
-        }
-        for msg in self.ctrl {
-            let s = owner(msg.dst, msg.tag) % shards;
-            parts[s].push_ctrl(msg);
-        }
-        for w in self.common {
-            let s = owner(w.dst, w.tag) % shards;
-            parts[s].push_segment(w, None);
-        }
-        for job in self.rdv {
-            let s = owner(job.dst, job.tag) % shards;
-            parts[s].push_rdv(job);
-        }
-        debug_assert!(parts.iter().all(Window::index_is_consistent));
-        parts
-    }
-
-    /// Read-only view of a dedicated list (selection heuristics).
-    pub fn dedicated_ref(&self, nic: usize) -> &VecDeque<PackWrapper> {
-        &self.dedicated[nic]
-    }
-
     /// Removes and returns the first segment visible to `nic` (its
     /// dedicated list first, then the common list) satisfying `pred`,
-    /// scanning past non-matching segments (reordering permitted).
-    // HOT-PATH: window drain
-    pub fn take_first_matching(
-        &mut self,
-        nic: usize,
-        pred: impl FnMut(&PackWrapper) -> bool,
-    ) -> Option<PackWrapper> {
-        self.take_first_matching_tracked(nic, pred).map(|(w, _)| w)
-    }
-
-    /// Like [`take_first_matching`](Self::take_first_matching) but also
+    /// scanning past non-matching segments (reordering permitted), and
     /// reports whether the take jumped past earlier-queued segments
     /// (i.e. an actual reordering decision, not a FIFO pop).
     // HOT-PATH: window drain
@@ -735,7 +661,9 @@ mod tests {
         w.push_segment(wrapper(1, 10, 0, 4), None);
         w.push_segment(wrapper(2, 20, 0, 4), None);
         w.push_segment(wrapper(1, 30, 0, 4), None);
-        let got = w.take_first_matching(0, |s| s.dst == NodeId(2)).unwrap();
+        let (got, _) = w
+            .take_first_matching_tracked(0, |s| s.dst == NodeId(2))
+            .unwrap();
         assert_eq!(got.tag, Tag(20));
         // Order of the rest preserved.
         let a = w.take_front_if(0, |_| true).unwrap();
@@ -857,7 +785,7 @@ mod tests {
         assert!(w.index_is_consistent());
 
         // Taking the dedicated Urgent segment re-points the oldest.
-        let got = w.take_first_matching(1, |s| s.order == 11).unwrap();
+        let (got, _) = w.take_first_matching_tracked(1, |s| s.order == 11).unwrap();
         assert_eq!(got.order, 11);
         assert_eq!(w.global_oldest_in_lane(0), Some((NodeId(2), 12)));
         assert!(w.index_is_consistent());
@@ -1011,217 +939,5 @@ mod failover_tests {
         w.index.get_mut(&NodeId(1)).unwrap().ctrl = 1;
         w.index.insert(NodeId(9), DstCounts::default());
         assert!(!w.index_is_consistent());
-    }
-
-    #[test]
-    fn split_partitions_by_owner_and_rail() {
-        let mut w = Window::new(4);
-        w.push_segment(wrapper(11, 4), Some(0));
-        w.push_segment(wrapper(12, 4), Some(3));
-        w.push_segment(wrapper(13, 4), None);
-        w.push_ctrl(CtrlMsg {
-            dst: NodeId(1),
-            tag: Tag(20),
-            seq: SeqNo(0),
-            total: 9,
-        });
-        // Owner = tag parity.
-        let parts = w.split(2, |_, tag| tag.0 as usize % 2);
-        assert_eq!(parts.len(), 2);
-        // Rails 0 and 2 belong to part 0; rails 1 and 3 to part 1.
-        assert_eq!(parts[0].nic_count(), 2);
-        assert_eq!(parts[1].nic_count(), 2);
-        assert_eq!(parts[0].dedicated_ref(0).len(), 1, "rail 0 moved whole");
-        assert_eq!(
-            parts[1].dedicated_ref(1).len(),
-            1,
-            "rail 3 is part 1's list 1"
-        );
-        // tag 13 is odd → part 1's common list; ctrl tag 20 is even → part 0.
-        assert_eq!(parts[1].common_ref().len(), 1);
-        assert_eq!(parts[0].ctrl_ref().len(), 1);
-        assert!(parts.iter().all(Window::index_is_consistent));
-        assert_eq!(parts.iter().map(Window::len).sum::<usize>(), 3);
-    }
-}
-
-/// `Window::split` places every queued item exactly once, for arbitrary
-/// shard counts and destination mixes: each part's destination index
-/// stays consistent, part `s`'s dedicated list `j` is global rail
-/// `j·n + s` verbatim, and every routed item sits on its owner shard
-/// with per-flow (dst, tag) relative order preserved.
-#[cfg(test)]
-mod split_props {
-    use super::*;
-    use crate::segment::Priority;
-    use proptest::prelude::*;
-    use std::collections::HashMap;
-
-    /// One generated push. `kind` selects the traffic class, `rail`
-    /// picks a dedicated list when the class is a pinned segment.
-    type Op = (u8, u32, u32, u8);
-
-    fn owner_hash(dst: NodeId, tag: Tag) -> usize {
-        (dst.0 as usize)
-            .wrapping_mul(31)
-            .wrapping_add(tag.0 as usize)
-            .wrapping_mul(0x9e37)
-    }
-
-    fn seg(dst: u32, tag: u32, seq: u32) -> PackWrapper {
-        PackWrapper {
-            dst: NodeId(dst),
-            tag: Tag(tag),
-            seq: SeqNo(seq),
-            // Cycle through every lane so the split/merge round trip
-            // exercises the lane index, not just the Normal lane.
-            priority: Priority::from_lane((seq % NUM_LANES as u32) as u8),
-            data: Bytes::from(vec![seq as u8; 4]),
-            req: SendReqId(u64::from(seq)),
-            order: u64::from(seq),
-        }
-    }
-
-    /// A window holding the generated pushes, in order.
-    fn build(nics: usize, ops: &[Op]) -> Window {
-        let mut w = Window::new(nics);
-        for (i, &(kind, dst, tag, rail)) in ops.iter().enumerate() {
-            let seq = i as u32;
-            match kind % 4 {
-                0 => w.push_segment(seg(dst, tag, seq), None),
-                1 => w.push_segment(seg(dst, tag, seq), Some(rail as usize % nics)),
-                2 => w.push_ctrl(CtrlMsg {
-                    dst: NodeId(dst),
-                    tag: Tag(tag),
-                    seq: SeqNo(seq),
-                    total: seq,
-                }),
-                _ => w.push_rdv(RdvJob::new(
-                    NodeId(dst),
-                    Tag(tag),
-                    SeqNo(seq),
-                    Bytes::from(vec![0u8; 8]),
-                    SendReqId(u64::from(seq)),
-                )),
-            }
-        }
-        w
-    }
-
-    /// Flattened identity of a queued item, comparable across the
-    /// split: (dst, tag, seq).
-    fn ctrl_ids(w: &Window) -> Vec<(u32, u32, u32)> {
-        w.ctrl_ref()
-            .iter()
-            .map(|m| (m.dst.0, m.tag.0, m.seq.0))
-            .collect()
-    }
-
-    fn common_ids(w: &Window) -> Vec<(u32, u32, u32)> {
-        w.common_ref()
-            .iter()
-            .map(|s| (s.dst.0, s.tag.0, s.seq.0))
-            .collect()
-    }
-
-    fn rdv_ids(w: &Window) -> Vec<(u32, u32, u32)> {
-        w.rdv_ref()
-            .iter()
-            .map(|j| (j.dst.0, j.tag.0, j.seq.0))
-            .collect()
-    }
-
-    fn dedicated_ids(w: &Window) -> Vec<Vec<(u32, u32, u32)>> {
-        (0..w.nic_count())
-            .map(|n| {
-                w.dedicated_ref(n)
-                    .iter()
-                    .map(|s| (s.dst.0, s.tag.0, s.seq.0))
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn per_flow(ids: &[(u32, u32, u32)]) -> HashMap<(u32, u32), Vec<u32>> {
-        let mut flows: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        for &(dst, tag, seq) in ids {
-            flows.entry((dst, tag)).or_default().push(seq);
-        }
-        flows
-    }
-
-    fn sorted(mut ids: Vec<(u32, u32, u32)>) -> Vec<(u32, u32, u32)> {
-        ids.sort_unstable();
-        ids
-    }
-
-    proptest! {
-        #[test]
-        fn split_places_every_item_exactly_once(
-            nics in 1usize..5,
-            shards in 1usize..6,
-            ops in proptest::collection::vec(
-                (0u8..4, 0u32..5, 0u32..6, 0u8..4),
-                0..60,
-            ),
-        ) {
-            let original = build(nics, &ops);
-            let before_ctrl = ctrl_ids(&original);
-            let before_common = common_ids(&original);
-            let before_rdv = rdv_ids(&original);
-            let before_dedicated = dedicated_ids(&original);
-            let before_len = original.len();
-
-            let parts = original.split(shards, owner_hash);
-            prop_assert_eq!(parts.len(), shards);
-            let (mut ctrl, mut common, mut rdv) = (Vec::new(), Vec::new(), Vec::new());
-            let mut total_nics = 0;
-            for (s, part) in parts.iter().enumerate() {
-                prop_assert!(part.index_is_consistent(), "part {} index diverged", s);
-                total_nics += part.nic_count();
-                // Dedicated lists follow their rail, verbatim.
-                for (j, list) in dedicated_ids(part).into_iter().enumerate() {
-                    prop_assert_eq!(&list, &before_dedicated[j * shards + s]);
-                }
-                // Routed classes must actually live on their owner shard.
-                for m in part.ctrl_ref() {
-                    prop_assert_eq!(owner_hash(m.dst, m.tag) % shards, s);
-                }
-                for w in part.common_ref() {
-                    prop_assert_eq!(owner_hash(w.dst, w.tag) % shards, s);
-                }
-                for j in part.rdv_ref() {
-                    prop_assert_eq!(owner_hash(j.dst, j.tag) % shards, s);
-                }
-                ctrl.extend(ctrl_ids(part));
-                common.extend(common_ids(part));
-                rdv.extend(rdv_ids(part));
-            }
-            prop_assert_eq!(total_nics, nics, "no rail lost or duplicated");
-            prop_assert_eq!(parts.iter().map(Window::len).sum::<usize>(), before_len);
-
-            // Routed classes: every item in exactly one part...
-            prop_assert_eq!(sorted(ctrl.clone()), sorted(before_ctrl.clone()));
-            prop_assert_eq!(sorted(common.clone()), sorted(before_common.clone()));
-            prop_assert_eq!(sorted(rdv.clone()), sorted(before_rdv.clone()));
-            // ...and, since a flow lives on one part, concatenating the
-            // parts keeps per-flow (dst, tag) relative order.
-            prop_assert_eq!(per_flow(&ctrl), per_flow(&before_ctrl));
-            prop_assert_eq!(per_flow(&common), per_flow(&before_common));
-            prop_assert_eq!(per_flow(&rdv), per_flow(&before_rdv));
-        }
-
-        #[test]
-        fn split_of_empty_window_yields_empty_consistent_parts(
-            nics in 1usize..5,
-            shards in 1usize..9,
-        ) {
-            let parts = Window::new(nics).split(shards, |dst, _| dst.0 as usize);
-            for part in &parts {
-                prop_assert!(part.is_empty());
-                prop_assert!(part.index_is_consistent());
-            }
-            prop_assert_eq!(parts.iter().map(Window::nic_count).sum::<usize>(), nics);
-        }
     }
 }

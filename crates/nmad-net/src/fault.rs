@@ -195,6 +195,19 @@ impl FaultPlan {
         plan
     }
 
+    /// Whether the plan can swallow a post or kill the NIC: a drop
+    /// probability above zero, a link-down window or a NIC death.
+    /// Latency spikes and corruption deliver every frame they touch.
+    pub(crate) fn can_lose_posts(&self) -> bool {
+        self.drop_probability > 0.0
+            || self.events.iter().any(|ev| {
+                matches!(
+                    ev,
+                    FaultEvent::LinkDown { .. } | FaultEvent::NicDeath { .. }
+                )
+            })
+    }
+
     /// One-line human description (printed by the chaos harness next
     /// to the seed, so a failing schedule is legible).
     pub fn describe(&self) -> String {
@@ -275,6 +288,11 @@ impl FaultInjector {
     /// Counters so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
+    }
+
+    /// The plan being executed.
+    pub(crate) fn plan(&self) -> &FaultPlan {
+        &self.plan
     }
 
     /// Has a scheduled NIC death already fired?

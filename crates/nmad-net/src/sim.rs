@@ -13,9 +13,12 @@
 //! [`Readiness`](nmad_sim::Readiness) mirror, and lock only to pop a
 //! packet that is due or to consume a finished send token. The driver
 //! hands its mirror slot to the engine ([`Driver::readiness`]) unless
-//! a fault plan is installed: a plan can swallow a post, and the
-//! swallowed send then completes before the transmit end the slot
-//! shows.
+//! the installed fault plan can lose a post: a drop probability above
+//! zero or a link-down window swallows a post, which then completes
+//! before the transmit end the slot shows, and a NIC death refuses it.
+//! A plan of latency spikes and corruption keeps the hint, since every
+//! frame it touches is still posted and its delivery instant still
+//! reaches the receiver's slot.
 
 use crate::driver::{
     Capabilities, CpuMeter, Driver, LinkStats, NetError, NetResult, RxFrame, SendHandle,
@@ -26,7 +29,9 @@ use nmad_sim::{
     FxHashMap, NodeId, RailId, RailReadiness, SendToken, SharedWorld, SimDuration, SimTime,
 };
 
-/// A [`Driver`] over one rail of a shared simulated world.
+/// A [`Driver`] over one rail of a shared simulated world. It gives the
+/// engine a readiness hint unless its fault plan can lose a post (see
+/// the module documentation).
 pub struct SimDriver {
     world: SharedWorld,
     ready: RailReadiness,
@@ -215,7 +220,11 @@ impl Driver for SimDriver {
     }
 
     fn readiness(&self) -> Option<RailReadiness> {
-        self.faults.is_none().then(|| self.ready.clone())
+        let lossless = self
+            .faults
+            .as_ref()
+            .is_none_or(|f| !f.plan().can_lose_posts());
+        lossless.then(|| self.ready.clone())
     }
 
     fn link_stats(&self) -> LinkStats {
@@ -454,9 +463,22 @@ mod tests {
         );
         settle(&world);
         assert_eq!(slot.now_ns(), world.lock().now().as_ns());
-        // A plan can swallow a post: the slot would then lie.
-        assert!(a.install_faults(FaultPlan::new(1)));
-        assert!(a.readiness().is_none());
+        // Spikes and corruption deliver every frame: the slot holds.
+        let spiky = FaultPlan::new(1)
+            .latency_spike(0, u64::MAX, 1_000)
+            .with_corrupt_probability(0.5);
+        assert!(a.install_faults(spiky));
+        assert!(a.readiness().is_some());
+        // A plan that can swallow a post or kill the NIC would make the
+        // slot lie.
+        for lossy in [
+            FaultPlan::new(1).with_drop_probability(0.1),
+            FaultPlan::new(1).link_down(0, 1),
+            FaultPlan::new(1).nic_death(u64::MAX),
+        ] {
+            assert!(a.install_faults(lossy));
+            assert!(a.readiness().is_none());
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! instant with the same bytes, and end with the same `EngineStats` per
 //! engine and the same `WorldStats` packet, byte and CPU counts. The
 //! workloads mix split and unsplit engines, eager and rendezvous sizes,
-//! both directions, and the `aggreg` and `lanes` strategies.
+//! both directions, and the `aggreg` and `lanes` strategies. Some add a
+//! latency-spike `FaultPlan` on one or both nodes' rails, installed in
+//! both runs: a spike delays frames without losing any, so the
+//! event-driven run keeps its readiness hint under it.
 
 use std::ops::ControlFlow;
 
@@ -25,7 +28,9 @@ use newmadeleine::core::{
     StratLanes, Tag,
 };
 use newmadeleine::net::sim::SimDriver;
-use newmadeleine::net::{Capabilities, Driver, NetResult, RxFrame, SendHandle, SimCpuMeter};
+use newmadeleine::net::{
+    Capabilities, Driver, FaultPlan, NetResult, RxFrame, SendHandle, SimCpuMeter,
+};
 use newmadeleine::sim::{host, nic, run_until, shared_world, NodeId, SharedWorld, SimConfig};
 use newmadeleine::sim::{SimTime, WorldStats};
 
@@ -68,11 +73,22 @@ struct Msg {
     priority: Priority,
 }
 
+/// A latency spike on every rail of some nodes.
+#[derive(Clone, Copy, Debug)]
+struct Spike {
+    /// The spiked node, or 2 for both.
+    node: u32,
+    from_ns: u64,
+    until_ns: u64,
+    extra_ns: u64,
+}
+
 #[derive(Clone, Debug)]
 struct Workload {
     rails: usize,
     split: bool,
     lanes: bool,
+    spike: Option<Spike>,
     msgs: Vec<Msg>,
 }
 
@@ -106,9 +122,15 @@ fn rail_models(rails: usize) -> Vec<newmadeleine::sim::NicModel> {
 /// One node's engines: one over every rail, or one per rail when the
 /// workload splits.
 fn engines(world: &SharedWorld, node: u32, w: &Workload, reference: bool) -> Vec<NmadEngine> {
+    let spike = w.spike.filter(|s| s.node == node || s.node == 2);
     let drivers = SimDriver::all_rails(world, NodeId(node))
         .into_iter()
-        .map(|d| {
+        .map(|mut d| {
+            if let Some(s) = spike {
+                let plan = FaultPlan::new(u64::from(node))
+                    .latency_spike(s.from_ns, s.until_ns, s.extra_ns);
+                assert!(d.install_faults(plan));
+            }
             if reference {
                 Box::new(NoHint(d)) as Box<dyn Driver>
             } else {
@@ -245,19 +267,32 @@ fn msg() -> impl Strategy<Value = Msg> {
         })
 }
 
+fn spike() -> impl Strategy<Value = Spike> {
+    (0u32..3, 0u64..400_000, 1u64..200_000, 1_000u64..300_000).prop_map(
+        |(node, from_ns, len_ns, extra_ns)| Spike {
+            node,
+            from_ns,
+            until_ns: from_ns + len_ns,
+            extra_ns,
+        },
+    )
+}
+
 fn workload() -> impl Strategy<Value = Workload> {
     (
         1usize..=4,
         any::<bool>(),
         any::<bool>(),
+        (any::<bool>(), spike()),
         proptest::collection::vec(msg(), 1..40),
     )
-        .prop_map(|(rails, split, lanes, mut msgs)| {
+        .prop_map(|(rails, split, lanes, (spiked, spike), mut msgs)| {
             msgs.sort_by_key(|m| m.at_ns);
             Workload {
                 rails,
                 split: split && rails > 1,
                 lanes,
+                spike: spiked.then_some(spike),
                 msgs,
             }
         })
@@ -292,6 +327,7 @@ fn a_fixed_workload_skips_pumps_and_clock_stops() {
         rails: 2,
         split: true,
         lanes: true,
+        spike: None,
         msgs: (0..64)
             .map(|i| Msg {
                 at_ns: i * 3_000,
